@@ -8,6 +8,13 @@
 //! that of *any* cost model — equals the sequential machine's (the jumping
 //! refinement of the formal model).
 //!
+//! The engine is the discrete driver of the protocol core (`protocol.rs`),
+//! which the threaded executor drives too. The engine keeps only the
+//! mechanism: the cost-model clock, the slave contexts, the task queue and
+//! the [`verify_and_commit`] oracle verdict. Live-in prediction, commit
+//! and squash accounting, recovery stepping, the throttle and hot-swap
+//! decisions are the core's.
+//!
 //! ## Protocol summary
 //!
 //! * The **master** executes the distilled program; when it crosses a task
@@ -23,21 +30,21 @@
 //!   younger tasks, and the master.
 //! * **Recovery** re-executes the failed segment non-speculatively from
 //!   architected state (buffered, committed atomically at the next
-//!   boundary) while the master restarts in parallel from the same point —
+//!   boundary), and the master restarts from that consistent point —
 //!   guaranteeing forward progress no matter how wrong the master is.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
-use mssp_distill::{Distilled, Tier};
-use mssp_isa::{Program, Reg};
-use mssp_machine::{step, Cell, Delta, Fault, MachineState};
+use mssp_distill::Distilled;
+use mssp_isa::Program;
+use mssp_machine::{step, Fault, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
-use crate::predictor::{Predictor, PredictorReport};
-use crate::task::{BoundarySet, RecoveryStorage, Task, TaskEnd, TaskId, TaskStatus};
+use crate::predictor::PredictorReport;
+use crate::protocol::{Protocol, RecoverySegment};
+use crate::task::{Task, TaskEnd, TaskId, TaskStatus};
 use crate::{CoreRole, CostModel};
 
 /// Engine configuration.
@@ -203,8 +210,12 @@ pub struct EngineStats {
     /// Distilled instructions executed by the master.
     pub master_instructions: u64,
     /// Original-program instructions executed speculatively by slaves.
+    /// The threaded executor counts them from every result the
+    /// coordinator receives; results still in flight at shutdown are not
+    /// counted.
     pub slave_instructions: u64,
-    /// Speculative slave instructions discarded by squashes.
+    /// Speculative slave instructions discarded by squashes and hot-swaps
+    /// (threaded executor: by the results it discards).
     pub wasted_slave_instructions: u64,
     /// Sum over committed tasks of live-in cells (bandwidth proxy).
     pub live_in_cells: u64,
@@ -401,31 +412,6 @@ struct SlaveCtx {
     task: Option<TaskId>,
 }
 
-/// The adaptive loop's engine-side state: the controller plus the
-/// injected recompiler. Split out so the boxed closure (not `Debug`) can
-/// hide behind a manual impl.
-struct AdaptiveHook {
-    ctl: AdaptiveController,
-    recompiler: Recompiler,
-}
-
-impl std::fmt::Debug for AdaptiveHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptiveHook")
-            .field("ctl", &self.ctl)
-            .finish_non_exhaustive()
-    }
-}
-
-#[derive(Debug)]
-struct Recovery {
-    pc: u64,
-    writes: Delta,
-    executed: u64,
-    crossings: u64,
-    busy_until: u64,
-}
-
 /// The MSSP machine.
 ///
 /// # Examples
@@ -460,46 +446,27 @@ struct Recovery {
 pub struct Engine<'a, C> {
     original: &'a Program,
     distilled: &'a Distilled,
-    boundaries: BoundarySet,
-    crossings_per_task: u64,
     config: EngineConfig,
     cost: C,
 
     now: u64,
     arch: MachineState,
-    arch_halted: bool,
 
     master: Master,
     master_busy_until: u64,
     master_since_spawn: u64,
     last_spawned: Option<u64>,
-    /// Live-in value predictor (see [`Predictor`]); trained only on
-    /// architected values at verify time.
-    predictor: Predictor,
 
     tasks: VecDeque<Task>,
     slaves: Vec<SlaveCtx>,
-    recovery: Option<Recovery>,
+    recovery: Option<RecoverySegment>,
+    recovery_busy_until: u64,
     verify_busy_until: u64,
 
     next_task_id: u64,
-    /// Recent squash history (event counter within the sliding window).
-    recent_squashes: VecDeque<u64>,
-    /// Tasks processed (committed or squashed), the throttle's clock.
-    tasks_processed: u64,
-    /// Remaining recovery segments to run with the master offline.
-    throttle_remaining: u64,
-    stats: EngineStats,
-    /// Architected PCs at each commit point, recorded when tracing is on.
-    commit_trace: Option<Vec<u64>>,
-    /// Live-in mismatch samples, recorded when diagnostics are on.
-    mismatch_samples: Option<Vec<MismatchSample>>,
-    /// All-cause squash samples, recorded when diagnostics are on.
-    squash_samples: Option<Vec<SquashSample>>,
-    /// Committed task sizes (instructions), recorded when enabled.
-    task_sizes: Option<Vec<u64>>,
-    /// Adaptive re-distillation state, when enabled.
-    adaptive: Option<AdaptiveHook>,
+    /// Every protocol decision and shared counter; this driver supplies
+    /// the cost-model clock and the oracle verdict.
+    protocol: Protocol,
     /// The currently hot-swapped distilled program; `None` means the
     /// offline program the engine was built with is still installed.
     swapped: Option<Arc<Distilled>>,
@@ -555,18 +522,14 @@ impl<'a, C: CostModel> Engine<'a, C> {
         Engine {
             original,
             distilled,
-            boundaries: BoundarySet::new(distilled.boundaries().clone()),
-            crossings_per_task: distilled.crossings_per_task().max(1),
             config,
             cost,
             now: 0,
             arch,
-            arch_halted: false,
             master,
             master_busy_until: 0,
             master_since_spawn: 0,
             last_spawned: None,
-            predictor: Predictor::new(),
             tasks: VecDeque::new(),
             slaves: (0..config.num_slaves)
                 .map(|_| SlaveCtx {
@@ -575,17 +538,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 })
                 .collect(),
             recovery: None,
+            recovery_busy_until: 0,
             verify_busy_until: 0,
             next_task_id: 0,
-            recent_squashes: VecDeque::new(),
-            tasks_processed: 0,
-            throttle_remaining: 0,
-            stats: EngineStats::default(),
-            commit_trace: None,
-            mismatch_samples: None,
-            squash_samples: None,
-            task_sizes: None,
-            adaptive: None,
+            protocol: Protocol::new(distilled, config),
             swapped: None,
         }
     }
@@ -598,10 +554,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// synchronously at the requesting task boundary — deterministically,
     /// for differential testing against the threaded executor.
     pub fn enable_adaptive(&mut self, controller: AdaptiveController, recompiler: Recompiler) {
-        self.adaptive = Some(AdaptiveHook {
-            ctl: controller,
-            recompiler,
-        });
+        self.protocol.enable_adaptive(controller, Some(recompiler));
     }
 
     /// The distilled program the master is currently running (the latest
@@ -614,39 +567,39 @@ impl<'a, C: CostModel> Engine<'a, C> {
     /// Enables recording of every committed task's instruction count (for
     /// task-size distribution studies).
     pub fn enable_task_size_trace(&mut self) {
-        self.task_sizes = Some(Vec::new());
+        self.protocol.task_sizes = Some(Vec::new());
     }
 
     /// Enables recording of live-in mismatch samples (first `cap` squash
     /// events), for distillation diagnostics.
     pub fn enable_mismatch_samples(&mut self, cap: usize) {
-        self.mismatch_samples = Some(Vec::with_capacity(cap.min(1024)));
+        self.protocol.mismatch_samples = Some(Vec::with_capacity(cap.min(1024)));
     }
 
     /// Enables recording of all-cause squash samples (first `cap` squash
     /// events), for squash-attribution diagnostics.
     pub fn enable_squash_samples(&mut self, cap: usize) {
-        self.squash_samples = Some(Vec::with_capacity(cap.min(1024)));
+        self.protocol.squash_samples = Some(Vec::with_capacity(cap.min(1024)));
     }
 
     /// Enables recording of the architected PC at every commit point.
     /// Used by the jumping-refinement tests: the recorded sequence must be
     /// a subsequence of the sequential machine's PC trace.
     pub fn enable_commit_trace(&mut self) {
-        self.commit_trace = Some(vec![self.arch.pc()]);
+        self.protocol.commit_trace = Some(vec![self.arch.pc()]);
     }
 
     /// The recorded commit trace, if enabled.
     #[must_use]
     pub fn commit_trace(&self) -> Option<&[u64]> {
-        self.commit_trace.as_deref()
+        self.protocol.commit_trace.as_deref()
     }
 
     /// The recorded mismatch samples, if enabled (drain before `run`
     /// consumes the engine via [`MsspRun::mismatch_samples`]).
     #[must_use]
     pub fn mismatch_samples(&self) -> Option<&[MismatchSample]> {
-        self.mismatch_samples.as_deref()
+        self.protocol.mismatch_samples.as_deref()
     }
 
     /// Runs the machine to architectural halt.
@@ -665,121 +618,61 @@ impl<'a, C: CostModel> Engine<'a, C> {
     ///
     /// See [`EngineError`].
     pub fn run_returning_cost(mut self) -> Result<(MsspRun, C), EngineError> {
-        while !self.arch_halted {
+        while !self.protocol.halted() {
             if self.now > self.config.max_cycles {
                 return Err(EngineError::CycleLimit);
             }
             let mut acted = false;
             acted |= self.act_recovery()?;
-            if !self.arch_halted {
+            if !self.protocol.halted() {
                 acted |= self.act_verify();
             }
-            if !self.arch_halted {
+            if !self.protocol.halted() {
                 for s in 0..self.slaves.len() {
                     acted |= self.act_slave(s);
                 }
                 acted |= self.act_master();
             }
-            if !acted && !self.arch_halted {
+            if !acted && !self.protocol.halted() {
                 self.advance_time();
             }
         }
-        self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
-        Ok((
-            MsspRun {
-                cycles: self.now,
-                state: self.arch,
-                stats: self.stats,
-                commit_trace: self.commit_trace,
-                mismatch_samples: self.mismatch_samples,
-                squash_samples: self.squash_samples,
-                task_sizes: self.task_sizes,
-                predictor_report: self.predictor.report(),
-                adaptive: self.adaptive.map(|h| h.ctl.into_report()),
-            },
-            self.cost,
-        ))
+        self.protocol.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        Ok((self.protocol.into_run(self.now, self.arch), self.cost))
     }
 
     // ---- components -----------------------------------------------------
 
     fn act_recovery(&mut self) -> Result<bool, EngineError> {
-        let Some(rec) = &mut self.recovery else {
+        let Some(seg) = &mut self.recovery else {
             return Ok(false);
         };
-        if self.now < rec.busy_until {
+        if self.now < self.recovery_busy_until {
             return Ok(false);
         }
-        let pc = rec.pc;
-        let mut storage = RecoveryStorage {
-            writes: &mut rec.writes,
-            arch: &self.arch,
-        };
-        let info = step(&mut storage, self.original, pc).map_err(EngineError::RecoveryFault)?;
-        if let Some(ad) = &mut self.adaptive {
-            // Recovery is verified, non-speculative execution: feed the
-            // live profile and the cold-code divergence signal.
-            ad.ctl.observe_recovery_step(&info);
-        }
+        let (info, done) = self
+            .protocol
+            .step_recovery(seg, self.original, &self.arch)?;
         let cost = self.cost.instr_cost(CoreRole::Recovery(0), &info).max(1);
-        rec.busy_until = self.now + cost;
-        self.stats.recovery_busy_cycles += cost;
-        if info.halted {
-            self.finish_recovery(pc, true);
-            return Ok(true);
-        }
-        rec.executed += 1;
-        rec.pc = info.next_pc;
-        if rec.executed > self.config.max_recovery_instrs {
-            return Err(EngineError::RecoveryLimit);
-        }
-        if self.boundaries.contains(info.next_pc) {
-            rec.crossings += 1;
-            if rec.crossings >= self.crossings_per_task {
-                self.finish_recovery(info.next_pc, false);
+        self.recovery_busy_until = self.now + cost;
+        self.protocol.stats.recovery_busy_cycles += cost;
+        if done {
+            let seg = self.recovery.take().expect("recovery active");
+            // Restart the master at this *consistent* architected point.
+            // (Restarting it at squash time, concurrently with recovery,
+            // lets the master lazily read a torn mixture of pre- and
+            // post-recovery architected values and desynchronize by one
+            // segment on every squash.)
+            if self.protocol.finish_recovery(seg, &mut self.arch) {
+                if self.master.status() != MasterStall::Active {
+                    self.restart_master();
+                }
+                // A recovery end is a consistent task boundary — the
+                // second swap point (alongside commits).
+                self.try_adaptive_swap();
             }
         }
         Ok(true)
-    }
-
-    fn finish_recovery(&mut self, end_pc: u64, halted: bool) {
-        let rec = self.recovery.take().expect("recovery active");
-        self.arch.apply(&rec.writes);
-        self.arch.set_pc(end_pc);
-        self.stats.recovery_instructions += rec.executed;
-        self.stats.committed_instructions += rec.executed;
-        if let Some(trace) = &mut self.commit_trace {
-            trace.push(end_pc);
-        }
-        if let Some(ad) = &mut self.adaptive {
-            ad.ctl.observe_recovery_segment();
-        }
-        if halted {
-            self.arch_halted = true;
-            return;
-        }
-        // While throttled, keep the master offline and let starvation
-        // recovery carry execution sequentially.
-        if self.throttle_remaining > 0 {
-            self.throttle_remaining -= 1;
-            return;
-        }
-        // Restart the master here, at a *consistent* architected point.
-        // (Restarting it at squash time, concurrently with recovery, lets
-        // the master lazily read a torn mixture of pre- and post-recovery
-        // architected values and desynchronize by one segment on every
-        // squash.)
-        if self.master.status() != MasterStall::Active {
-            self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
-            let cur = self.swapped.as_deref().unwrap_or(self.distilled);
-            self.master = Master::restart_at(cur, end_pc, true, self.arch.clone());
-            self.master_busy_until = self.now;
-            self.master_since_spawn = 0;
-            self.last_spawned = None;
-        }
-        // A recovery end is a consistent task boundary — the discrete
-        // engine's second swap point (alongside commits).
-        self.try_adaptive_swap();
     }
 
     fn act_verify(&mut self) -> bool {
@@ -790,131 +683,47 @@ impl<'a, C: CostModel> Engine<'a, C> {
             return false;
         };
         // Wrong-path detection does not wait for the task to finish.
-        if task.start_pc != self.arch.pc() {
-            if let Some(ad) = &mut self.adaptive {
-                ad.ctl
-                    .observe_squash(SquashReason::WrongPath, self.arch.pc(), &[]);
+        let reason = if task.start_pc == self.arch.pc() {
+            let TaskStatus::Done { end, done_at } = task.status else {
+                return false;
+            };
+            if self.now < done_at {
+                return false;
             }
-            self.record_squash_sample(SquashReason::WrongPath, Vec::new());
-            self.squash_and_recover(SquashReason::WrongPath);
-            return true;
-        }
-        let TaskStatus::Done { end, done_at } = task.status else {
-            return false;
+            match verify_and_commit(&mut self.arch, task, end) {
+                VerifyOutcome::Squash(reason) => reason,
+                VerifyOutcome::Commit { end_pc, halted } => {
+                    self.commit(end_pc, halted);
+                    return true;
+                }
+            }
+        } else {
+            SquashReason::WrongPath
         };
-        if self.now < done_at {
-            return false;
-        }
-        match verify_and_commit(&mut self.arch, task, end) {
-            VerifyOutcome::Squash(reason) => {
-                let mut mismatch_cells: Vec<(mssp_machine::Cell, u64, u64)> = Vec::new();
-                if reason == SquashReason::LiveInMismatch {
-                    let want_cells = self.mismatch_samples.is_some()
-                        || self.squash_samples.is_some()
-                        || self.config.enable_predictor
-                        || self.adaptive.is_some();
-                    if want_cells {
-                        mismatch_cells = task.live_ins.mismatches_against(&self.arch);
-                    }
-                    if let Some(samples) = &mut self.mismatch_samples {
-                        if samples.len() < samples.capacity() {
-                            samples.push(MismatchSample {
-                                start_pc: task.start_pc,
-                                executed: task.executed,
-                                cells: mismatch_cells.clone(),
-                            });
-                        }
-                    }
-                    // Attribute the event: did a predictor injection
-                    // participate in the failure, or was the master's
-                    // checkpoint stale on its own?
-                    let misses = task
-                        .predicted
-                        .iter()
-                        .filter(|p| mismatch_cells.iter().any(|(c, _, _)| c == *p))
-                        .count() as u64;
-                    if misses > 0 {
-                        self.stats.squashes_live_in_predicted += 1;
-                        self.stats.predictor_misses += misses;
-                    } else {
-                        self.stats.squashes_live_in_stale += 1;
-                    }
-                    if self.config.enable_predictor {
-                        // Train-on-verified-only: the architected side of
-                        // each mismatch is committed truth. Register cells
-                        // only — memory live-in footprints depend on
-                        // executor timing, register live-ins do not.
-                        let start = task.start_pc;
-                        for &(cell, _, arch_value) in &mismatch_cells {
-                            if let Cell::Reg(r) = cell {
-                                self.predictor.train(start, r, arch_value);
-                            }
-                        }
-                    }
-                }
-                if let Some(ad) = &mut self.adaptive {
-                    let regs: Vec<Reg> = mismatch_cells
-                        .iter()
-                        .filter_map(|&(c, _, _)| match c {
-                            Cell::Reg(r) => Some(r),
-                            _ => None,
-                        })
-                        .collect();
-                    ad.ctl.observe_squash(reason, self.arch.pc(), &regs);
-                }
-                self.record_squash_sample(reason, mismatch_cells);
-                self.squash_and_recover(reason);
-                true
-            }
-            VerifyOutcome::Commit { end_pc, halted } => {
-                // Task safety established: the commit superimposition has
-                // been applied; account for it.
-                let task = self.tasks.pop_front().expect("front exists");
-                let vcost = self.cost.verify_cost(task.live_ins.len());
-                let ccost = self.cost.commit_cost(task.writes.len());
-                self.verify_busy_until = self.now + vcost + ccost;
-                self.stats.verify_busy_cycles += vcost + ccost;
-                self.stats.committed_tasks += 1;
-                self.tasks_processed += 1;
-                self.stats.committed_instructions += task.executed;
-                if let Some(sizes) = &mut self.task_sizes {
-                    sizes.push(task.executed);
-                }
-                self.stats.live_in_cells += task.live_ins.len() as u64;
-                // The discrete verify unit re-checks every recorded
-                // live-in (no worker-side pre-verification here).
-                self.stats.live_ins_rechecked += task.live_ins.len() as u64;
-                self.stats.live_in_reg_cells += task.live_ins.reg_cells() as u64;
-                self.stats.live_in_mem_cells += task.live_ins.mem_cells() as u64;
-                self.stats.live_out_cells += task.writes.len() as u64;
-                self.stats.max_live_in_cells =
-                    self.stats.max_live_in_cells.max(task.live_ins.len() as u64);
-                // A predicted cell the committed task actually read is a
-                // verified hit (live-ins all matched, or we wouldn't be
-                // here); injections the task never read are unverified
-                // and count as neither hit nor miss.
-                self.stats.predictor_hits += task
-                    .predicted
-                    .iter()
-                    .filter(|&&c| task.live_ins.contains(c))
-                    .count() as u64;
-                self.master.on_commit(task.id.0);
-                self.slaves[task.slave].task = None;
-                if let Some(trace) = &mut self.commit_trace {
-                    trace.push(end_pc);
-                }
-                if let Some(ad) = &mut self.adaptive {
-                    ad.ctl.observe_commit(task.executed);
-                }
-                if halted {
-                    self.arch_halted = true;
-                } else {
-                    // Commits are the primary swap point: architected
-                    // state sits at a consistent task boundary.
-                    self.try_adaptive_swap();
-                }
-                true
-            }
+        let killed = self.tasks.len() as u64;
+        self.protocol.squash(reason, task, &self.arch, killed);
+        self.squash_and_recover();
+        true
+    }
+
+    /// Accounts for the oldest task, whose writes `verify_and_commit` has
+    /// just superimposed onto architected state.
+    fn commit(&mut self, end_pc: u64, halted: bool) {
+        let task = self.tasks.pop_front().expect("front exists");
+        let vcost = self.cost.verify_cost(task.live_ins.len());
+        let ccost = self.cost.commit_cost(task.writes.len());
+        self.verify_busy_until = self.now + vcost + ccost;
+        self.protocol.stats.verify_busy_cycles += vcost + ccost;
+        // The discrete verify unit re-checks every recorded live-in (no
+        // worker-side pre-verification here).
+        self.protocol.stats.live_ins_rechecked += task.live_ins.len() as u64;
+        self.protocol.commit(&task, end_pc, halted);
+        self.master.on_commit(task.id.0);
+        self.slaves[task.slave].task = None;
+        if !halted {
+            // Commits are the primary swap point: architected state sits
+            // at a consistent task boundary.
+            self.try_adaptive_swap();
         }
     }
 
@@ -953,7 +762,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             Ok(info) => {
                 let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
                 self.slaves[s].busy_until = self.now + cost;
-                self.stats.slave_busy_cycles += cost;
+                self.protocol.stats.slave_busy_cycles += cost;
                 if info.halted {
                     task.status = TaskStatus::Done {
                         end: TaskEnd::Halted(pc),
@@ -963,11 +772,11 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 }
                 task.executed += 1;
                 task.pc = info.next_pc;
-                self.stats.slave_instructions += 1;
-                if self.boundaries.contains(info.next_pc) {
+                self.protocol.stats.slave_instructions += 1;
+                if self.protocol.boundaries.contains(info.next_pc) {
                     task.crossings += 1;
                 }
-                if task.crossings >= self.crossings_per_task {
+                if task.crossings >= self.protocol.crossings_per_task {
                     task.status = TaskStatus::Done {
                         end: TaskEnd::Boundary(info.next_pc),
                         done_at: self.slaves[s].busy_until,
@@ -993,24 +802,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             };
             let (start, mut overlay) = self.master.take_spawn(self.last_spawned);
             let cells: usize = overlay.first().map(|d| d.len()).unwrap_or(0);
-            let mut predicted: Vec<Cell> = Vec::new();
-            if self.config.enable_predictor {
-                let predictions = self.predictor.predict(start);
-                if !predictions.is_empty() {
-                    // Inject at the overlay front: index 0 wins layered
-                    // reads, so predictions override the master's
-                    // checkpoint for exactly these cells — and, like any
-                    // overlay-sourced read, are recorded as live-ins and
-                    // verified at commit.
-                    let mut delta = Delta::new();
-                    for &(reg, value) in &predictions {
-                        delta.set(Cell::Reg(reg), value);
-                        predicted.push(Cell::Reg(reg));
-                    }
-                    overlay.insert(0, std::sync::Arc::new(delta));
-                    self.stats.predictor_overrides += predictions.len() as u64;
-                }
-            }
+            let predicted = self.protocol.spawn(start, &mut overlay);
             let id = TaskId(self.next_task_id);
             self.next_task_id += 1;
             let mut task = Task::new(id, start, slave, overlay);
@@ -1021,8 +813,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             self.slaves[slave].busy_until = self.now + dispatch;
             let spawn = self.cost.spawn_overhead(cells);
             self.master_busy_until = self.now + spawn;
-            self.stats.master_busy_cycles += spawn;
-            self.stats.spawned_tasks += 1;
+            self.protocol.stats.master_busy_cycles += spawn;
             self.last_spawned = Some(id.0);
             self.master_since_spawn = 0;
             return true;
@@ -1038,8 +829,8 @@ impl<'a, C: CostModel> Engine<'a, C> {
             Some(info) => {
                 let cost = self.cost.instr_cost(CoreRole::Master, &info).max(1);
                 self.master_busy_until = self.now + cost;
-                self.stats.master_busy_cycles += cost;
-                self.stats.master_instructions += 1;
+                self.protocol.stats.master_busy_cycles += cost;
+                self.protocol.stats.master_instructions += 1;
                 self.master_since_spawn += 1;
                 true
             }
@@ -1047,135 +838,28 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
     }
 
-    // ---- squash & recovery ----------------------------------------------
+    // ---- squash, recovery & hot-swap -------------------------------------
 
-    fn record_squash_sample(
-        &mut self,
-        reason: SquashReason,
-        cells: Vec<(mssp_machine::Cell, u64, u64)>,
-    ) {
-        let Some(task) = self.tasks.front() else {
-            return;
-        };
-        let (task_start_pc, executed) = (task.start_pc, task.executed);
-        if let Some(samples) = &mut self.squash_samples {
-            if samples.len() < samples.capacity() {
-                samples.push(SquashSample {
-                    reason,
-                    task_start_pc,
-                    arch_pc: self.arch.pc(),
-                    executed,
-                    cells,
-                });
-            }
-        }
-    }
-
-    fn squash_and_recover(&mut self, reason: SquashReason) {
-        match reason {
-            SquashReason::WrongPath => self.stats.squashes_wrong_path += 1,
-            SquashReason::LiveInMismatch => self.stats.squashes_live_in += 1,
-            SquashReason::Overrun => self.stats.squashes_overrun += 1,
-            SquashReason::Fault => self.stats.squashes_fault += 1,
-        }
-        self.stats.squashed_tasks += self.tasks.len() as u64;
-        for task in &self.tasks {
-            self.stats.wasted_slave_instructions += task.executed;
-        }
-        for (i, slave) in self.slaves.iter_mut().enumerate() {
-            if slave.task.take().is_some() {
-                self.cost.on_squash(CoreRole::Slave(i));
-                slave.busy_until = self.now;
-            }
-        }
-        self.tasks.clear();
+    fn squash_and_recover(&mut self) {
+        self.abandon_tasks();
         self.cost.on_squash(CoreRole::Master);
-
         let penalty = self.cost.squash_penalty();
         self.verify_busy_until = self.now + penalty;
-        self.stats.verify_busy_cycles += penalty;
-
-        // Adaptive fallback: with a pathological master, repeated squashes
-        // within the window take it offline for a stretch of sequential
-        // recovery segments (the paper's revert-to-sequential dual mode).
-        self.tasks_processed += 1;
-        if self.config.throttle_threshold > 0 {
-            self.recent_squashes.push_back(self.tasks_processed);
-            while matches!(
-                self.recent_squashes.front(),
-                Some(&t) if t + self.config.throttle_window < self.tasks_processed
-            ) {
-                self.recent_squashes.pop_front();
-            }
-            if self.recent_squashes.len() as u32 > self.config.throttle_threshold
-                && self.throttle_remaining == 0
-            {
-                self.throttle_remaining = self.config.throttle_duration;
-                self.stats.throttle_events += 1;
-                self.recent_squashes.clear();
-            }
-        }
-
-        // The master stays down until recovery reaches the next boundary;
-        // `finish_recovery` reseeds it from the then-consistent
-        // architected state. (A parallel restart would race with the
-        // recovery segment's atomic commit — see `finish_recovery`.)
+        self.protocol.stats.verify_busy_cycles += penalty;
+        // The master stays down until recovery reaches the next boundary
+        // and reseeds it from the then-consistent architected state.
         self.master.mark_lost();
         self.master_busy_until = self.now + penalty;
         self.master_since_spawn = 0;
         self.last_spawned = None;
-
-        self.recovery = Some(Recovery {
-            pc: self.arch.pc(),
-            writes: Delta::new(),
-            executed: 0,
-            crossings: 0,
-            busy_until: self.now + penalty,
-        });
-        self.stats.recovery_segments += 1;
+        self.start_recovery(self.now + penalty);
     }
 
-    // ---- adaptive hot-swap ------------------------------------------------
-
-    /// If the controller has an outstanding recompile request, runs the
-    /// recompiler synchronously and installs the candidate (when it
-    /// validates) at the current task boundary.
-    fn try_adaptive_swap(&mut self) {
-        let Some(ad) = &mut self.adaptive else {
-            return;
-        };
-        let Some(tier) = ad.ctl.take_request() else {
-            return;
-        };
-        let started = Instant::now();
-        let installable = match (ad.recompiler)(ad.ctl.live_profile(), tier) {
-            Ok(d) if ad.ctl.validate_candidate(&d) => {
-                ad.ctl.note_recompiled(tier, true);
-                Some(Arc::new(d))
-            }
-            Ok(_) => {
-                ad.ctl.note_candidate_rejected(tier);
-                None
-            }
-            Err(_) => {
-                ad.ctl.note_recompiled(tier, false);
-                None
-            }
-        };
-        if let Some(d) = installable {
-            self.install_swap(d, tier, started);
-        }
-    }
-
-    /// Installs a validated candidate: abandons in-flight tasks exactly
-    /// like a squash (their predictions came from the outgoing program)
-    /// and restarts the master on the new program from architected state.
-    /// No recovery segment is needed — unlike a squash, architected state
-    /// already sits at a consistent task boundary.
-    fn install_swap(&mut self, d: Arc<Distilled>, tier: Tier, started: Instant) {
-        self.stats.swap_abandoned_tasks += self.tasks.len() as u64;
+    /// Drops every in-flight task (a squash or a hot-swap), freeing the
+    /// slaves; their executed instructions were wasted.
+    fn abandon_tasks(&mut self) {
         for task in &self.tasks {
-            self.stats.wasted_slave_instructions += task.executed;
+            self.protocol.stats.wasted_slave_instructions += task.executed;
         }
         for (i, slave) in self.slaves.iter_mut().enumerate() {
             if slave.task.take().is_some() {
@@ -1184,35 +868,35 @@ impl<'a, C: CostModel> Engine<'a, C> {
             }
         }
         self.tasks.clear();
-        self.stats.spawn_vetoes += self.master.take_vetoed_spawns();
-        self.swapped = Some(d);
-        self.stats.swaps_installed += 1;
-        match tier {
-            Tier::Fast => self.stats.recompilations_fast += 1,
-            Tier::Full => self.stats.recompilations_full += 1,
-        }
-        let cur = self.swapped.as_deref().expect("just installed");
+    }
+
+    fn start_recovery(&mut self, busy_until: u64) {
+        self.recovery = Some(self.protocol.begin_recovery(self.arch.pc()));
+        self.recovery_busy_until = busy_until;
+    }
+
+    fn restart_master(&mut self) {
+        self.protocol.stats.spawn_vetoes += self.master.take_vetoed_spawns();
+        let cur = self.swapped.as_deref().unwrap_or(self.distilled);
         self.master = Master::restart_at(cur, self.arch.pc(), true, self.arch.clone());
         self.master_busy_until = self.now;
         self.master_since_spawn = 0;
         self.last_spawned = None;
-        if let Some(ad) = &mut self.adaptive {
-            let latency = started.elapsed().as_micros() as u64;
-            ad.ctl.note_swap_installed(tier, latency, self.stats);
-        }
     }
 
-    fn start_starvation_recovery(&mut self) {
-        // No tasks, no recovery, master unable to produce work: execute
-        // the next segment non-speculatively.
-        self.recovery = Some(Recovery {
-            pc: self.arch.pc(),
-            writes: Delta::new(),
-            executed: 0,
-            crossings: 0,
-            busy_until: self.now,
-        });
-        self.stats.recovery_segments += 1;
+    /// Serves an outstanding recompile request inline and installs a
+    /// validated candidate at this task boundary: in-flight tasks are
+    /// abandoned like a squash (their predictions came from the outgoing
+    /// program) and the master restarts on the new program. No recovery
+    /// segment is needed — architected state already sits at a consistent
+    /// task boundary.
+    fn try_adaptive_swap(&mut self) {
+        let abandoned = self.tasks.len() as u64;
+        if let Some(d) = self.protocol.recompile_inline(abandoned) {
+            self.abandon_tasks();
+            self.swapped = Some(d);
+            self.restart_master();
+        }
     }
 
     // ---- time ------------------------------------------------------------
@@ -1229,20 +913,17 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 None => t,
             });
         };
-        if let Some(rec) = &self.recovery {
-            consider(rec.busy_until);
-        }
-        if self.recovery.is_none() {
-            if let Some(task) = self.tasks.front() {
-                match task.status {
-                    TaskStatus::Done { done_at, .. } => {
-                        consider(self.verify_busy_until.max(done_at));
-                    }
-                    TaskStatus::Running if task.start_pc != self.arch.pc() => {
-                        consider(self.verify_busy_until);
-                    }
-                    TaskStatus::Running => {}
+        if self.recovery.is_some() {
+            consider(self.recovery_busy_until);
+        } else if let Some(task) = self.tasks.front() {
+            match task.status {
+                TaskStatus::Done { done_at, .. } => {
+                    consider(self.verify_busy_until.max(done_at));
                 }
+                TaskStatus::Running if task.start_pc != self.arch.pc() => {
+                    consider(self.verify_busy_until);
+                }
+                TaskStatus::Running => {}
             }
         }
         for slave in &self.slaves {
@@ -1265,7 +946,9 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
         match next {
             Some(t) => self.now = self.now.max(t).max(self.now + 1),
-            None => self.start_starvation_recovery(),
+            // No tasks, no recovery, master unable to produce work:
+            // execute the next segment non-speculatively.
+            None => self.start_recovery(self.now),
         }
     }
 }

@@ -6,8 +6,13 @@
 //! **verify/commit** unit, such that the committed architected state is
 //! always exactly what the sequential machine would produce.
 //!
-//! * [`Engine`] — the machine: spawn / execute / verify / commit / squash
-//!   / recover, generic over a [`CostModel`].
+//! * One protocol core (crate-private) owns every spawn / commit / squash
+//!   / recovery / throttle / hot-swap decision and the counters in
+//!   [`EngineStats`]; two drivers supply the mechanism around it:
+//!   * [`Engine`] — the discrete-time machine, generic over a
+//!     [`CostModel`], whose [`verify_and_commit`] verdict is the oracle;
+//!   * [`run_threaded`] — real OS-thread slaves behind lock-free rings,
+//!     with a pre-verified fast-path verdict.
 //! * [`Task`] / [`TaskStorage`] — speculative tasks with live-in recording
 //!   and live-out buffering.
 //! * [`Master`] — the fast path: distilled-program execution, checkpoint
@@ -49,6 +54,7 @@ mod master;
 #[cfg(feature = "model-check")]
 pub mod mutation;
 mod predictor;
+mod protocol;
 mod refinement;
 pub mod ring;
 mod sync;

@@ -1,10 +1,13 @@
 //! A threaded MSSP executor: slaves run on real OS threads.
 //!
-//! The discrete-time [`crate::Engine`] is the reference implementation —
-//! deterministic and cost-model-driven. This module demonstrates the same
-//! protocol on actual parallel hardware: the master interpreter and the
-//! slave tasks each run on their own OS thread, and the coordinator
-//! thread runs only the in-order verify/commit unit.
+//! This is the second driver of the protocol core (`protocol.rs`); the
+//! discrete-time [`crate::Engine`] is the first. Every spawn, commit,
+//! squash, recovery, throttle and hot-swap decision — and every counter
+//! the two share — lives in that core. This module supplies the mechanism
+//! on real parallel hardware: the master interpreter and the slave tasks
+//! each run on their own OS thread, and the coordinator thread runs the
+//! in-order verify/commit unit — rings, epochs, the commit log, the
+//! pre-verified fast-path verdict and snapshot/delta publishing.
 //!
 //! # Contention-free hot path
 //!
@@ -75,7 +78,9 @@
 //! intersection and is re-checked. A task whose spawn sequence predates
 //! the retained window is re-checked in full — the suffix probe cannot
 //! prove freshness for commits that were compacted away.
-//! [`verify_and_commit`] remains the shared oracle —
+//! The verdict is this driver's own; what follows from it (commit and
+//! squash accounting, recovery, restart) is the protocol core's.
+//! [`verify_and_commit`], the discrete engine's verdict, is the oracle —
 //! `EngineConfig::cross_check_commits` re-runs it on a cloned state for
 //! every decision and panics on divergence, which the differential test
 //! suite exercises at 1/2/4/8 workers.
@@ -100,13 +105,13 @@ use std::time::Instant;
 use mssp_analysis::Profile;
 use mssp_distill::{Distilled, Tier};
 use mssp_isa::Program;
-use mssp_machine::{expand_mask, step, Cell, Delta, DeltaArena, MachineState};
+use mssp_machine::{expand_mask, Cell, Delta, DeltaArena, MachineState};
 
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
-use crate::predictor::Predictor;
+use crate::protocol::Protocol;
 use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender, TryRecvError};
-use crate::task::{BoundarySet, RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId};
+use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId};
 use crate::{verify_and_commit, VerifyOutcome};
 use crate::{EngineConfig, EngineError, EngineStats, SquashReason};
 
@@ -365,16 +370,6 @@ fn pre_verify(live_ins: &Delta, view: Option<&Delta>, base: &MachineState) -> Ve
     failed
 }
 
-/// Applies the unapplied commit-log suffix as one superimposition and
-/// restores the logical PC. Safe to call redundantly.
-fn flush_commits(arch: &mut MachineState, log: &CommitLog, applied_seq: &mut u64, virt_pc: u64) {
-    if *applied_seq < log.seq() {
-        arch.apply_batch(log.suffix(*applied_seq));
-        *applied_seq = log.seq();
-    }
-    arch.set_pc(virt_pc);
-}
-
 /// Non-blocking dispatch of every per-worker outbox into its ring, one
 /// publish per worker. Relies on [`SpscSender::try_send_batch`]'s
 /// partial-progress contract: a short send (full ring) leaves the unsent
@@ -396,15 +391,6 @@ fn flush_outboxes<T: Send>(
     Ok(())
 }
 
-/// Returns a result's delta buffers to the arena (stale epoch, squash).
-fn recycle_result(arena: &mut DeltaArena, r: WorkResult) {
-    let WorkResult { mut task, view, .. } = r;
-    arena.put(view);
-    arena.put(std::mem::take(&mut task.live_ins));
-    arena.put(std::mem::take(&mut task.writes));
-}
-
-/// How the coordinator obtains recompiled candidates.
 /// The background recompile thread's half of the adaptive control
 /// plane: request receiver, result sender, and the recompiler to run.
 type RecompileWorker = (
@@ -413,89 +399,17 @@ type RecompileWorker = (
     Recompiler,
 );
 
-enum RecompileMode {
-    /// Run the recompiler inline on the coordinator at the requesting
-    /// task boundary. Blocks commits for the duration — used for
-    /// deterministic differential testing against the discrete engine.
-    Sync(Recompiler),
-    /// Ship `(profile snapshot, tier)` to a background recompile thread
-    /// and harvest the candidate at a later task boundary; the hot path
-    /// never waits. The channel is plain std `mpsc` — recompiles are
-    /// rare control-plane events, not dispatch/commit traffic.
-    Async {
-        req_tx: mpsc::Sender<(Profile, Tier)>,
-        res_rx: mpsc::Receiver<(Tier, Result<Distilled, String>)>,
-        /// The in-flight request, for latency accounting; also gates new
-        /// sends (the controller's `Pending` phase means at most one).
-        sent_at: Option<(Tier, Instant)>,
-    },
-}
-
-/// The coordinator's adaptive state: divergence controller + recompile
-/// transport.
-struct ThreadedAdaptive {
-    ctl: AdaptiveController,
-    mode: RecompileMode,
-}
-
-/// Pumps the adaptive loop at a task boundary: harvests a finished
-/// background recompile, services a newly requested one, and returns a
-/// validated candidate ready to install as `(program, tier,
-/// latency_micros)`.
-fn adaptive_pump(ad: &mut ThreadedAdaptive) -> Option<(Arc<Distilled>, Tier, u64)> {
-    if let RecompileMode::Async {
-        res_rx, sent_at, ..
-    } = &mut ad.mode
-    {
-        if sent_at.is_some() {
-            if let Ok((tier, result)) = res_rx.try_recv() {
-                let (_, started) = sent_at.take().expect("request was in flight");
-                let latency = started.elapsed().as_micros() as u64;
-                match result {
-                    Ok(d) if ad.ctl.validate_candidate(&d) => {
-                        ad.ctl.note_recompiled(tier, true);
-                        return Some((Arc::new(d), tier, latency));
-                    }
-                    Ok(_) => ad.ctl.note_candidate_rejected(tier),
-                    Err(_) => ad.ctl.note_recompiled(tier, false),
-                }
-            }
-        }
-    }
-    let tier = ad.ctl.take_request()?;
-    match &mut ad.mode {
-        RecompileMode::Sync(rec) => {
-            let started = Instant::now();
-            match rec(ad.ctl.live_profile(), tier) {
-                Ok(d) if ad.ctl.validate_candidate(&d) => {
-                    ad.ctl.note_recompiled(tier, true);
-                    Some((Arc::new(d), tier, started.elapsed().as_micros() as u64))
-                }
-                Ok(_) => {
-                    ad.ctl.note_candidate_rejected(tier);
-                    None
-                }
-                Err(_) => {
-                    ad.ctl.note_recompiled(tier, false);
-                    None
-                }
-            }
-        }
-        RecompileMode::Async {
-            req_tx, sent_at, ..
-        } => {
-            if sent_at.is_none() {
-                if req_tx.send((ad.ctl.live_profile().clone(), tier)).is_ok() {
-                    *sent_at = Some((tier, Instant::now()));
-                } else {
-                    // Recompile thread is gone; re-arm so the run can
-                    // keep going on the installed program.
-                    ad.ctl.note_recompiled(tier, false);
-                }
-            }
-            None
-        }
-    }
+/// The coordinator's half of background recompilation: it ships
+/// `(profile snapshot, tier)` to the recompile thread and harvests the
+/// candidate at a later task boundary, so the hot path never waits. The
+/// channels are plain std `mpsc` — recompiles are rare control-plane
+/// events, not dispatch/commit traffic.
+struct BackgroundRecompile {
+    req_tx: mpsc::Sender<(Profile, Tier)>,
+    res_rx: mpsc::Receiver<(Tier, Result<Distilled, String>)>,
+    /// When the in-flight request was sent; also gates new sends (the
+    /// controller's `Pending` phase means at most one).
+    sent_at: Option<Instant>,
 }
 
 /// Runs the MSSP protocol with `config.num_slaves` worker threads plus a
@@ -564,15 +478,16 @@ fn run_threaded_inner(
 ) -> Result<ThreadedRun, ThreadedError> {
     assert!(config.num_slaves > 0, "MSSP needs at least one slave");
     let start_time = std::time::Instant::now();
-    let boundaries = Arc::new(BoundarySet::new(distilled.boundaries().clone()));
-    let crossings_per_task = distilled.crossings_per_task().max(1);
+    let mut protocol = Protocol::new(distilled, config);
+    let boundaries = Arc::clone(&protocol.boundaries);
+    let crossings_per_task = protocol.crossings_per_task;
     let current_epoch = Arc::new(AtomicU64::new(0));
 
     // Result/coordination ring sized far above the speculation window so
     // producers (workers, master) never meet a full ring in practice.
     let coord_cap = (config.num_slaves * 8).max(1024);
-    let (coord_tx, mut coord_rx) = ring::mpsc::<CoordMsg>(coord_cap);
-    let (mut ctrl_tx, mut ctrl_rx) = ring::spsc::<CtrlMsg>(CTRL_RING_CAP);
+    let (coord_tx, coord_rx) = ring::mpsc::<CoordMsg>(coord_cap);
+    let (ctrl_tx, mut ctrl_rx) = ring::spsc::<CtrlMsg>(CTRL_RING_CAP);
     let mut work_txs = Vec::with_capacity(config.num_slaves);
     let mut work_rxs = Vec::with_capacity(config.num_slaves);
     for _ in 0..config.num_slaves {
@@ -580,24 +495,19 @@ fn run_threaded_inner(
         work_txs.push(tx);
         work_rxs.push(rx);
     }
-    let mut hook: Option<ThreadedAdaptive> = None;
+    let mut background = None;
     let mut recompile_worker: Option<RecompileWorker> = None;
     if let Some((ctl, rec, synchronous)) = adaptive {
         if synchronous {
-            hook = Some(ThreadedAdaptive {
-                ctl,
-                mode: RecompileMode::Sync(rec),
-            });
+            protocol.enable_adaptive(ctl, Some(rec));
         } else {
+            protocol.enable_adaptive(ctl, None);
             let (req_tx, req_rx) = mpsc::channel();
             let (res_tx, res_rx) = mpsc::channel();
-            hook = Some(ThreadedAdaptive {
-                ctl,
-                mode: RecompileMode::Async {
-                    req_tx,
-                    res_rx,
-                    sent_at: None,
-                },
+            background = Some(BackgroundRecompile {
+                req_tx,
+                res_rx,
+                sent_at: None,
             });
             recompile_worker = Some((req_rx, res_tx, rec));
         }
@@ -655,64 +565,72 @@ fn run_threaded_inner(
         drop(coord_tx); // coordinator keeps only the receiver
 
         // ---- coordinator: the in-order verify/commit unit ----
-        let mut stats = EngineStats::default();
-        let outcome = coordinate(
+        let arch = MachineState::boot(original);
+        protocol.stats.snapshots_materialized += 1;
+        let mut coordinator = Coordinator {
             original,
-            &boundaries,
-            crossings_per_task,
-            &config,
-            &current_epoch,
-            &mut work_txs,
-            &mut coord_rx,
-            &mut ctrl_tx,
-            &mut stats,
-            hook.as_mut(),
-        );
+            cross_check: config.cross_check_commits,
+            current_epoch: &current_epoch,
+            outbox: work_txs.iter().map(|_| VecDeque::new()).collect(),
+            work_txs,
+            coord_rx,
+            ctrl_tx,
+            protocol,
+            background,
+            arena: DeltaArena::new(),
+            virt_pc: arch.pc(),
+            base: Arc::new(arch.clone()),
+            arch,
+            base_seq: 0,
+            applied_seq: 0,
+            log: CommitLog::new(),
+            folded: Delta::new(),
+            pending_cells: 0,
+            epoch: 0,
+            in_flight: VecDeque::new(),
+            done: Vec::new(),
+            inbox: Vec::with_capacity(DRAIN_BATCH),
+            next_worker: 0,
+            master_stalled: false,
+        };
+        let outcome = coordinator.run();
 
         // Shut down regardless of outcome: stragglers abandon at the next
-        // epoch poll, closed rings end both loops, and joining here
-        // consumes any panic so the scope does not re-raise it.
+        // epoch poll, closed rings end every loop (the recompile thread's
+        // with the request sender), and joining here consumes any panic
+        // so the scope does not re-raise it.
         // why: Relaxed; the epoch is an advisory abandon hint — correctness
         // comes from the epoch tag carried inside each message, and the
         // ring close below is what actually ends the loops.
         current_epoch.store(u64::MAX, Ordering::Relaxed);
-        drop(work_txs);
-        drop(ctrl_tx);
-        drop(coord_rx);
+        let (state, protocol) = coordinator.finish();
         let mut thread_died = false;
         for handle in workers {
             if handle.join().is_err() {
                 thread_died = true;
             }
         }
-        match master_handle.join() {
-            Ok((instructions, vetoes)) => {
-                stats.master_instructions = instructions;
-                stats.spawn_vetoes = vetoes;
-            }
-            Err(_) => thread_died = true,
-        }
-        // Consuming the hook drops the request sender, which ends the
-        // recompile thread's recv loop; join it before returning.
-        let adaptive_report = hook.map(|h| {
-            let ThreadedAdaptive { ctl, mode } = h;
-            drop(mode);
-            ctl.into_report()
+        let (master_instructions, spawn_vetoes) = master_handle.join().unwrap_or_else(|_| {
+            thread_died = true;
+            (0, 0)
         });
         if let Some(handle) = recompile_handle {
             if handle.join().is_err() {
                 thread_died = true;
             }
         }
-        let state = outcome?;
+        outcome?;
         if thread_died {
             return Err(ThreadedError::WorkerDied);
         }
+        let mut run = protocol.into_run(0, state);
+        run.stats.master_instructions = master_instructions;
+        run.stats.spawn_vetoes = spawn_vetoes;
         Ok(ThreadedRun {
-            state,
-            stats,
+            state: run.state,
+            stats: run.stats,
             elapsed: start_time.elapsed(),
-            adaptive: adaptive_report,
+            adaptive: run.adaptive,
         })
     })
 }
@@ -915,153 +833,138 @@ fn master_thread(
     }
 }
 
+/// Why the coordinator abandons the current epoch.
+enum Reset {
+    /// A squash, or a master starved of work: run a recovery segment.
+    Recover,
+    /// A validated hot-swap candidate to restart the master on.
+    Install(Arc<Distilled>),
+}
+
 /// The verify/commit coordinator: owns architected state, dispatches
 /// spawns to workers, and commits results in order doing O(write-set)
-/// work per task with no steady-state allocation.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn coordinate(
-    original: &Program,
-    boundaries: &BoundarySet,
-    crossings_per_task: u64,
-    config: &EngineConfig,
-    current_epoch: &AtomicU64,
-    work_txs: &mut [SpscSender<WorkItem>],
-    coord_rx: &mut MpscReceiver<CoordMsg>,
-    ctrl_tx: &mut SpscSender<CtrlMsg>,
-    stats: &mut EngineStats,
-    mut adaptive: Option<&mut ThreadedAdaptive>,
-) -> Result<MachineState, ThreadedError> {
-    let mut arena = DeltaArena::new();
-    let mut arch = MachineState::boot(original);
-    // The logical architected PC: `arch` itself may lag behind by the
-    // unapplied commit-log suffix, but `virt_pc` never does, so the
-    // wrong-path check needs no flush.
-    let mut virt_pc = arch.pc();
-    let mut base = Arc::new(arch.clone());
-    let mut base_seq = 0u64;
-    // Commits at or above this sequence are not yet applied to `arch`.
-    let mut applied_seq = 0u64;
-    stats.snapshots_materialized += 1;
-    let mut log = CommitLog::new();
-    // Superimposition of log entries in [base_seq, seq): the committed
-    // view cloned into every spawn. Maintained incrementally per commit.
-    let mut folded = Delta::new();
-    let mut pending_cells = 0usize;
-    let mut epoch = 0u64;
-    // (task id, spawn sequence number), in spawn = commit order.
-    let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
-    // Finished-but-uncommitted results; the window is tiny (≤ 2×slaves),
-    // so a linear scan beats a map and reuses its capacity forever.
-    let mut done: Vec<(u64, WorkResult)> = Vec::new();
-    let mut inbox: Vec<CoordMsg> = Vec::with_capacity(DRAIN_BATCH);
-    let mut outbox: Vec<VecDeque<WorkItem>> = work_txs.iter().map(|_| VecDeque::new()).collect();
-    let mut next_worker = 0usize;
-    let mut master_stalled = false;
-    let mut halted = false;
-    // Live-in value predictor. Trained only on architected mismatch
-    // values at squash time (verified truth), consulted at spawn — the
-    // same train-on-verified-only discipline as the discrete engine, so
-    // per-epoch prediction decisions are deterministic across executors.
-    let mut predictor = Predictor::new();
+/// work per task with no steady-state allocation. Every protocol decision
+/// and shared counter lives in `protocol`; this struct is the mechanism —
+/// rings, epochs, the commit log and the fast-path verdict.
+struct Coordinator<'a> {
+    original: &'a Program,
+    cross_check: bool,
+    current_epoch: &'a AtomicU64,
+    work_txs: Vec<SpscSender<WorkItem>>,
+    coord_rx: MpscReceiver<CoordMsg>,
+    ctrl_tx: SpscSender<CtrlMsg>,
+    protocol: Protocol,
+    background: Option<BackgroundRecompile>,
+    arena: DeltaArena,
+    arch: MachineState,
+    /// The logical architected PC: `arch` itself may lag behind by the
+    /// unapplied commit-log suffix, but `virt_pc` never does, so the
+    /// wrong-path check needs no flush.
+    virt_pc: u64,
+    base: Arc<MachineState>,
+    base_seq: u64,
+    /// Commits at or above this sequence are not yet applied to `arch`.
+    applied_seq: u64,
+    log: CommitLog,
+    /// Superimposition of log entries in [base_seq, seq): the committed
+    /// view cloned into every spawn. Maintained incrementally per commit.
+    folded: Delta,
+    pending_cells: usize,
+    epoch: u64,
+    /// (task id, spawn sequence number), in spawn = commit order.
+    in_flight: VecDeque<(u64, u64)>,
+    /// Finished-but-uncommitted results; the window is tiny (≤ 2×slaves),
+    /// so a linear scan beats a map and reuses its capacity forever.
+    done: Vec<(u64, WorkResult)>,
+    inbox: Vec<CoordMsg>,
+    outbox: Vec<VecDeque<WorkItem>>,
+    next_worker: usize,
+    master_stalled: bool,
+}
 
-    let boot_restart = CtrlMsg::Restart {
-        gen: epoch,
-        pc: virt_pc,
-        base: Box::new(arch.clone()),
-        swap: None,
-    };
-    if ctrl_tx.send(boot_restart).is_err() {
-        return Err(ThreadedError::WorkerDied);
+impl Coordinator<'_> {
+    fn run(&mut self) -> Result<(), ThreadedError> {
+        self.restart_master(None)?;
+        while !self.protocol.halted() {
+            self.receive()?;
+            self.commit_ready()?;
+            // Master starved (lost/halted with nothing in flight):
+            // sequential recovery, then reseed the master.
+            if !self.protocol.halted() && self.in_flight.is_empty() && self.master_stalled {
+                self.reset(Reset::Recover)?;
+            }
+            // Compact the commit log: keep entries any in-flight task's
+            // conflict check or the unapplied/unfolded suffix could still
+            // reference. `base_seq ≤ applied_seq` always, so the keep
+            // bound also protects the flush suffix.
+            let keep = self
+                .in_flight
+                .front()
+                .map_or_else(|| self.log.seq(), |&(_, seq)| seq)
+                .min(self.base_seq);
+            self.log.compact(keep, &mut self.arena);
+        }
+        Ok(())
     }
 
-    while !halted {
-        // 1. Receive spawns, results, and master status in batches.
-        //    Block only when there is nothing to commit and no starvation
-        //    to handle — in both remaining cases a message is guaranteed
-        //    to arrive (an in-flight result, a spawn, a stall report, or
-        //    a thread obituary).
+    /// Final architected state, and the protocol's counters and reports.
+    /// Consuming the coordinator closes every ring it holds.
+    fn finish(mut self) -> (MachineState, Protocol) {
+        self.flush();
+        (self.arch, self.protocol)
+    }
+
+    /// Receives spawns, results, and master status in batches. Blocks
+    /// only when there is nothing to commit and no starvation to handle —
+    /// in both remaining cases a message is guaranteed to arrive (an
+    /// in-flight result, a spawn, a stall report, or a thread obituary).
+    fn receive(&mut self) -> Result<(), ThreadedError> {
+        let mut inbox = std::mem::take(&mut self.inbox);
         let mut received = false;
         loop {
-            let oldest_ready = in_flight
+            let oldest_ready = self
+                .in_flight
                 .front()
-                .is_some_and(|&(id, _)| done.iter().any(|&(d, _)| d == id));
-            let starved = in_flight.is_empty() && master_stalled;
+                .is_some_and(|&(id, _)| self.done.iter().any(|&(d, _)| d == id));
+            let starved = self.in_flight.is_empty() && self.master_stalled;
             inbox.clear();
             if oldest_ready || starved || received {
-                if coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
+                if self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
                     break;
                 }
             } else {
-                match coord_rx.recv() {
-                    Ok(m) => {
-                        inbox.push(m);
-                        coord_rx.recv_batch(&mut inbox, DRAIN_BATCH - 1);
-                    }
-                    Err(_) => return Err(ThreadedError::WorkerDied),
-                }
+                inbox.push(
+                    self.coord_rx
+                        .recv()
+                        .map_err(|_| ThreadedError::WorkerDied)?,
+                );
+                self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH - 1);
             }
             received = true;
             for msg in inbox.drain(..) {
                 match msg {
                     CoordMsg::Result(r) => {
-                        if r.epoch == epoch {
-                            done.push((r.task.id.0, r));
+                        // Results still in flight at shutdown are never
+                        // received, so they are not counted.
+                        self.protocol.stats.slave_instructions += r.task.executed;
+                        if r.epoch == self.epoch {
+                            self.done.push((r.task.id.0, r));
                         } else {
-                            recycle_result(&mut arena, r);
+                            self.discard(r);
                         }
                     }
+                    // A spawn from an older epoch is a pre-squash
+                    // prediction; already dead.
                     CoordMsg::Spawn {
                         gen,
                         id,
                         start_pc,
                         overlay,
-                    } => {
-                        if gen != epoch {
-                            continue; // pre-squash prediction; already dead
-                        }
-                        let seq = log.seq();
-                        stats.spawned_tasks += 1;
-                        in_flight.push_back((id, seq));
-                        let mut view = arena.take();
-                        view.clone_from(&folded);
-                        let mut overlay = overlay;
-                        let mut predicted: Vec<Cell> = Vec::new();
-                        if config.enable_predictor {
-                            let predictions = predictor.predict(start_pc);
-                            if !predictions.is_empty() {
-                                // Front of the overlay wins layered reads:
-                                // confident predictions override the
-                                // master's checkpoint and are recorded as
-                                // live-ins, hence verified at commit.
-                                let mut delta = Delta::new();
-                                for &(reg, value) in &predictions {
-                                    delta.set(Cell::Reg(reg), value);
-                                    predicted.push(Cell::Reg(reg));
-                                }
-                                overlay.insert(0, Arc::new(delta));
-                                stats.predictor_overrides += predictions.len() as u64;
-                            }
-                        }
-                        let mut task = Task::with_buffers(
-                            TaskId(id),
-                            start_pc,
-                            next_worker,
-                            overlay,
-                            arena.take(),
-                            arena.take(),
-                        );
-                        task.predicted = predicted;
-                        outbox[next_worker].push_back(WorkItem {
-                            epoch,
-                            base: Arc::clone(&base),
-                            view,
-                            task,
-                        });
-                        next_worker = (next_worker + 1) % work_txs.len();
-                    }
+                    } if gen == self.epoch => self.dispatch(id, start_pc, overlay),
+                    CoordMsg::Spawn { .. } => {}
                     CoordMsg::MasterStalled { gen } => {
-                        if gen == epoch {
-                            master_stalled = true;
+                        if gen == self.epoch {
+                            self.master_stalled = true;
                         }
                     }
                     CoordMsg::ThreadDied => return Err(ThreadedError::WorkerDied),
@@ -1073,418 +976,290 @@ fn coordinate(
             // ring means that worker already holds a ring-capacity backlog,
             // so its next result is guaranteed to wake this loop for the
             // retry.
-            flush_outboxes(&mut outbox, work_txs)?;
+            flush_outboxes(&mut self.outbox, &mut self.work_txs)?;
         }
+        self.inbox = inbox;
+        Ok(())
+    }
 
-        // 2. Verify/commit in order.
-        'commit: while let Some(&(oldest_id, task_seq)) = in_flight.front() {
-            let Some(pos) = done.iter().position(|&(id, _)| id == oldest_id) else {
+    /// Queues a current-epoch spawn for the next worker, round-robin.
+    fn dispatch(&mut self, id: u64, start_pc: u64, mut overlay: Vec<Arc<Delta>>) {
+        let predicted = self.protocol.spawn(start_pc, &mut overlay);
+        self.in_flight.push_back((id, self.log.seq()));
+        let mut view = self.arena.take();
+        view.clone_from(&self.folded);
+        let mut task = Task::with_buffers(
+            TaskId(id),
+            start_pc,
+            self.next_worker,
+            overlay,
+            self.arena.take(),
+            self.arena.take(),
+        );
+        task.predicted = predicted;
+        self.outbox[self.next_worker].push_back(WorkItem {
+            epoch: self.epoch,
+            base: Arc::clone(&self.base),
+            view,
+            task,
+        });
+        self.next_worker = (self.next_worker + 1) % self.work_txs.len();
+    }
+
+    /// Verifies and commits finished results in order, up to the first
+    /// unfinished task, a squash, or a hot-swap.
+    fn commit_ready(&mut self) -> Result<(), ThreadedError> {
+        while let Some(&(oldest_id, task_seq)) = self.in_flight.front() {
+            let Some(pos) = self.done.iter().position(|&(id, _)| id == oldest_id) else {
                 break;
             };
-            let (_, result) = done.swap_remove(pos);
-            in_flight.pop_front();
-            let WorkResult {
-                mut task,
-                end,
-                failed,
-                view,
-                ..
-            } = result;
-
-            // The fast-path verdict: O(write-set) work, same precedence
-            // as the oracle (wrong path, then overrun/fault, then the
-            // memoization test over exactly the stale/failed cells).
-            let verdict = 'verdict: {
-                if task.start_pc != virt_pc {
-                    break 'verdict VerifyOutcome::Squash(SquashReason::WrongPath);
-                }
-                let (end_pc, is_halt) = match end {
-                    TaskEnd::Overrun => {
-                        break 'verdict VerifyOutcome::Squash(SquashReason::Overrun)
-                    }
-                    TaskEnd::Fault => break 'verdict VerifyOutcome::Squash(SquashReason::Fault),
-                    TaskEnd::Boundary(pc) => (pc, false),
-                    TaskEnd::Halted(pc) => (pc, true),
-                };
-                let recheck = match &failed {
-                    Some(f) => cells_to_recheck(&task.live_ins, f, &log, task_seq),
-                    // No summary shipped (defensive: cannot happen for a
-                    // boundary/halt end) — re-check everything.
-                    None => task.live_ins.iter_masked().map(|(c, _)| c).collect(),
-                };
-                stats.live_ins_rechecked += recheck.len() as u64;
-                stats.live_ins_skipped +=
-                    (task.live_ins.len() as u64).saturating_sub(recheck.len() as u64);
-                if recheck.is_empty() {
-                    stats.pre_verified_tasks += 1;
-                } else {
-                    flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                    for &cell in &recheck {
-                        let Some(m) = task.live_ins.get_masked(cell) else {
-                            continue; // a failed cell later overwritten? impossible, but harmless
-                        };
-                        if arch.read_cell(cell) & expand_mask(m.mask) != m.value {
-                            break 'verdict VerifyOutcome::Squash(SquashReason::LiveInMismatch);
-                        }
-                    }
-                }
-                VerifyOutcome::Commit {
-                    end_pc,
-                    halted: is_halt,
-                }
-            };
+            let (_, result) = self.done.swap_remove(pos);
+            self.in_flight.pop_front();
+            let verdict = self.verdict(&result, task_seq);
 
             // Differential-testing mode: replay the decision through the
             // shared oracle on a clone and demand bit-identical results.
-            let oracle = if config.cross_check_commits {
-                flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                let mut shadow = arch.clone();
-                let oracle_verdict = verify_and_commit(&mut shadow, &task, end);
+            let oracle = self.cross_check.then(|| {
+                self.flush();
+                let mut shadow = self.arch.clone();
+                let oracle_verdict = verify_and_commit(&mut shadow, &result.task, result.end);
                 assert_eq!(
                     verdict, oracle_verdict,
                     "threaded fast path diverged from verify_and_commit oracle on task {}",
-                    task.id.0
+                    result.task.id.0
                 );
-                Some(shadow)
-            } else {
-                None
-            };
+                shadow
+            });
 
             match verdict {
-                VerifyOutcome::Commit { end_pc, halted: h } => {
-                    stats.committed_tasks += 1;
-                    stats.committed_instructions += task.executed;
-                    stats.live_in_cells += task.live_ins.len() as u64;
-                    stats.live_out_cells += task.writes.len() as u64;
-                    let task_id = task.id.0;
-                    stats.predictor_hits += task
-                        .predicted
-                        .iter()
-                        .filter(|&&c| task.live_ins.contains(c))
-                        .count() as u64;
-                    pending_cells += task.writes.len();
-                    folded.superimpose_in_place(&task.writes);
-                    log.push(std::mem::take(&mut task.writes));
-                    arena.put(std::mem::take(&mut task.live_ins));
-                    arena.put(view);
-                    virt_pc = end_pc;
-                    if let Some(shadow) = &oracle {
-                        flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                        assert_eq!(
-                            &arch, shadow,
-                            "threaded fast path committed state diverged from oracle"
-                        );
+                VerifyOutcome::Commit { end_pc, halted } => {
+                    self.commit(result, end_pc, halted, oracle.as_ref())?;
+                    if halted {
+                        break;
                     }
-                    if ctrl_tx
-                        .send(CtrlMsg::Committed {
-                            gen: epoch,
-                            task_id,
-                        })
-                        .is_err()
-                    {
-                        return Err(ThreadedError::WorkerDied);
-                    }
-                    if log.seq() - base_seq >= MAX_PENDING_DELTAS
-                        || pending_cells >= MAX_PENDING_CELLS
-                    {
-                        flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                        base = Arc::new(arch.clone());
-                        base_seq = log.seq();
-                        folded.clear();
-                        pending_cells = 0;
-                        stats.snapshots_materialized += 1;
-                    } else {
-                        stats.deltas_published += 1;
-                    }
-                    if h {
-                        halted = true;
-                        break 'commit;
-                    }
-                    if let Some(ad) = adaptive.as_deref_mut() {
-                        ad.ctl.observe_commit(task.executed);
-                        if let Some((d, tier, latency)) = adaptive_pump(ad) {
-                            // Install at this commit boundary: abandon
-                            // in-flight speculation exactly like a squash
-                            // (epoch bump) — but with no recovery segment,
-                            // because architected state already sits at
-                            // the task boundary just committed.
-                            stats.swap_abandoned_tasks += in_flight.len() as u64;
-                            epoch += 1;
-                            // why: Relaxed; advisory abandon hint — stale
-                            // results are filtered by their message epoch
-                            // tag regardless.
-                            current_epoch.store(epoch, Ordering::Relaxed);
-                            in_flight.clear();
-                            for (_, r) in done.drain(..) {
-                                recycle_result(&mut arena, r);
-                            }
-                            master_stalled = false;
-                            flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                            log.clear_window(&mut arena);
-                            folded.clear();
-                            base = Arc::new(arch.clone());
-                            base_seq = log.seq();
-                            pending_cells = 0;
-                            stats.snapshots_materialized += 1;
-                            stats.swaps_installed += 1;
-                            match tier {
-                                Tier::Fast => stats.recompilations_fast += 1,
-                                Tier::Full => stats.recompilations_full += 1,
-                            }
-                            ad.ctl.note_swap_installed(tier, latency, *stats);
-                            let restart = CtrlMsg::Restart {
-                                gen: epoch,
-                                pc: virt_pc,
-                                base: Box::new(arch.clone()),
-                                swap: Some(d),
-                            };
-                            if ctrl_tx.send(restart).is_err() {
-                                return Err(ThreadedError::WorkerDied);
-                            }
-                            break 'commit;
-                        }
+                    let abandoned = self.in_flight.len() as u64;
+                    if let Some(d) = self.pump(abandoned) {
+                        // Install at this commit boundary: abandon
+                        // in-flight speculation exactly like a squash —
+                        // but with no recovery segment, because
+                        // architected state already sits at the task
+                        // boundary just committed.
+                        return self.reset(Reset::Install(d));
                     }
                 }
                 VerifyOutcome::Squash(reason) => {
                     // Squash everything younger and run recovery.
-                    flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-                    stats.squashed_tasks += 1 + in_flight.len() as u64;
-                    match reason {
-                        SquashReason::WrongPath => stats.squashes_wrong_path += 1,
-                        SquashReason::LiveInMismatch => stats.squashes_live_in += 1,
-                        SquashReason::Overrun => stats.squashes_overrun += 1,
-                        SquashReason::Fault => stats.squashes_fault += 1,
-                    }
-                    let mut squash_regs = Vec::new();
-                    if reason == SquashReason::LiveInMismatch {
-                        // `arch` is flushed (above), so the mismatch list
-                        // carries verified architected truth — the only
-                        // values the predictor is allowed to train on.
-                        // Register cells only: memory live-in footprints
-                        // depend on executor timing, register ones do not.
-                        let mismatch_cells = task.live_ins.mismatches_against(&arch);
-                        let misses = task
-                            .predicted
-                            .iter()
-                            .filter(|p| mismatch_cells.iter().any(|(c, _, _)| c == *p))
-                            .count() as u64;
-                        if misses > 0 {
-                            stats.squashes_live_in_predicted += 1;
-                            stats.predictor_misses += misses;
-                        } else {
-                            stats.squashes_live_in_stale += 1;
-                        }
-                        if config.enable_predictor {
-                            let start = task.start_pc;
-                            for &(cell, _, arch_value) in &mismatch_cells {
-                                if let Cell::Reg(r) = cell {
-                                    predictor.train(start, r, arch_value);
-                                }
-                            }
-                        }
-                        if adaptive.is_some() {
-                            squash_regs = mismatch_cells
-                                .iter()
-                                .filter_map(|&(c, _, _)| match c {
-                                    Cell::Reg(r) => Some(r),
-                                    _ => None,
-                                })
-                                .collect();
-                        }
-                    }
-                    if let Some(ad) = adaptive.as_deref_mut() {
-                        ad.ctl.observe_squash(reason, virt_pc, &squash_regs);
-                    }
-                    epoch += 1;
-                    // why: Relaxed; advisory squash hint — stale results
-                    // are filtered by their message epoch tag regardless.
-                    current_epoch.store(epoch, Ordering::Relaxed);
-                    in_flight.clear();
-                    arena.put(view);
-                    arena.put(std::mem::take(&mut task.live_ins));
-                    arena.put(std::mem::take(&mut task.writes));
-                    for (_, r) in done.drain(..) {
-                        recycle_result(&mut arena, r);
-                    }
-                    master_stalled = false;
-                    let recovered = run_recovery(
-                        original,
-                        boundaries,
-                        crossings_per_task,
-                        &mut arch,
-                        config.max_recovery_instrs,
-                        adaptive.as_deref_mut().map(|a| &mut a.ctl),
-                    )?;
-                    if let Some(ad) = adaptive.as_deref_mut() {
-                        ad.ctl.observe_recovery_segment();
-                    }
-                    stats.recovery_segments += 1;
-                    stats.recovery_instructions += recovered.0;
-                    stats.committed_instructions += recovered.0;
-                    log.clear_window(&mut arena);
-                    folded.clear();
-                    base = Arc::new(arch.clone());
-                    base_seq = log.seq();
-                    applied_seq = log.seq();
-                    pending_cells = 0;
-                    stats.snapshots_materialized += 1;
-                    virt_pc = arch.pc();
-                    if recovered.1 {
-                        halted = true;
-                    } else {
-                        // The epoch is already bumped and speculation
-                        // already abandoned: a pending swap rides the
-                        // restart for free.
-                        let mut swap = None;
-                        if let Some(ad) = adaptive.as_deref_mut() {
-                            if let Some((d, tier, latency)) = adaptive_pump(ad) {
-                                stats.swaps_installed += 1;
-                                match tier {
-                                    Tier::Fast => stats.recompilations_fast += 1,
-                                    Tier::Full => stats.recompilations_full += 1,
-                                }
-                                ad.ctl.note_swap_installed(tier, latency, *stats);
-                                swap = Some(d);
-                            }
-                        }
-                        let restart = CtrlMsg::Restart {
-                            gen: epoch,
-                            pc: virt_pc,
-                            base: Box::new(arch.clone()),
-                            swap,
-                        };
-                        if ctrl_tx.send(restart).is_err() {
-                            return Err(ThreadedError::WorkerDied);
-                        }
-                    }
-                    break 'commit;
+                    self.flush();
+                    let killed = 1 + self.in_flight.len() as u64;
+                    self.protocol
+                        .squash(reason, &result.task, &self.arch, killed);
+                    self.discard(result);
+                    return self.reset(Reset::Recover);
                 }
             }
         }
-
-        // 3. Master starved (lost/halted with nothing in flight):
-        //    sequential recovery, then reseed the master.
-        if !halted && in_flight.is_empty() && master_stalled {
-            flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-            let recovered = run_recovery(
-                original,
-                boundaries,
-                crossings_per_task,
-                &mut arch,
-                config.max_recovery_instrs,
-                adaptive.as_deref_mut().map(|a| &mut a.ctl),
-            )?;
-            if let Some(ad) = adaptive.as_deref_mut() {
-                ad.ctl.observe_recovery_segment();
-            }
-            stats.recovery_segments += 1;
-            stats.recovery_instructions += recovered.0;
-            stats.committed_instructions += recovered.0;
-            // Fresh generation: stale spawns/stalls from the old master
-            // must not leak into the reseeded run.
-            epoch += 1;
-            // why: Relaxed; advisory recovery-generation hint — stale
-            // spawns/results are filtered by their message epoch tag.
-            current_epoch.store(epoch, Ordering::Relaxed);
-            master_stalled = false;
-            for (_, r) in done.drain(..) {
-                recycle_result(&mut arena, r);
-            }
-            log.clear_window(&mut arena);
-            folded.clear();
-            base = Arc::new(arch.clone());
-            base_seq = log.seq();
-            applied_seq = log.seq();
-            pending_cells = 0;
-            stats.snapshots_materialized += 1;
-            virt_pc = arch.pc();
-            if recovered.1 {
-                halted = true;
-            } else {
-                let mut swap = None;
-                if let Some(ad) = adaptive.as_deref_mut() {
-                    if let Some((d, tier, latency)) = adaptive_pump(ad) {
-                        stats.swaps_installed += 1;
-                        match tier {
-                            Tier::Fast => stats.recompilations_fast += 1,
-                            Tier::Full => stats.recompilations_full += 1,
-                        }
-                        ad.ctl.note_swap_installed(tier, latency, *stats);
-                        swap = Some(d);
-                    }
-                }
-                let restart = CtrlMsg::Restart {
-                    gen: epoch,
-                    pc: virt_pc,
-                    base: Box::new(arch.clone()),
-                    swap,
-                };
-                if ctrl_tx.send(restart).is_err() {
-                    return Err(ThreadedError::WorkerDied);
-                }
-            }
-        }
-
-        // 4. Compact the commit log: keep entries any in-flight task's
-        //    conflict check or the unapplied/unfolded suffix could still
-        //    reference. `base_seq ≤ applied_seq` always, so the keep
-        //    bound also protects the flush suffix.
-        let keep = in_flight
-            .front()
-            .map_or_else(|| log.seq(), |&(_, seq)| seq)
-            .min(base_seq);
-        log.compact(keep, &mut arena);
+        Ok(())
     }
 
-    flush_commits(&mut arch, &log, &mut applied_seq, virt_pc);
-    Ok(arch)
-}
-
-/// Executes one non-speculative segment from the architected PC to the
-/// next task end, committing atomically. Returns (instructions, halted).
-/// `observer` (the adaptive controller, when enabled) sees every verified
-/// instruction — recovery is where a new program phase first shows up.
-fn run_recovery(
-    original: &Program,
-    boundaries: &BoundarySet,
-    crossings_per_task: u64,
-    arch: &mut MachineState,
-    cap: u64,
-    mut observer: Option<&mut AdaptiveController>,
-) -> Result<(u64, bool), EngineError> {
-    let mut writes = mssp_machine::Delta::new();
-    let mut pc = arch.pc();
-    let mut executed = 0u64;
-    let mut crossings = 0u64;
-    let halted = loop {
-        let info = {
-            let mut storage = RecoveryStorage {
-                writes: &mut writes,
-                arch,
-            };
-            step(&mut storage, original, pc).map_err(EngineError::RecoveryFault)?
+    /// The fast-path verdict: O(write-set) work, same precedence as the
+    /// oracle (wrong path, then overrun/fault, then the memoization test
+    /// over exactly the stale/failed cells).
+    fn verdict(&mut self, result: &WorkResult, task_seq: u64) -> VerifyOutcome {
+        let task = &result.task;
+        if task.start_pc != self.virt_pc {
+            return VerifyOutcome::Squash(SquashReason::WrongPath);
+        }
+        let (end_pc, halted) = match result.end {
+            TaskEnd::Overrun => return VerifyOutcome::Squash(SquashReason::Overrun),
+            TaskEnd::Fault => return VerifyOutcome::Squash(SquashReason::Fault),
+            TaskEnd::Boundary(pc) => (pc, false),
+            TaskEnd::Halted(pc) => (pc, true),
         };
-        if let Some(ctl) = observer.as_deref_mut() {
-            ctl.observe_recovery_step(&info);
-        }
-        if info.halted {
-            break true;
-        }
-        executed += 1;
-        pc = info.next_pc;
-        if executed > cap {
-            return Err(EngineError::RecoveryLimit);
-        }
-        if boundaries.contains(pc) {
-            crossings += 1;
-            if crossings >= crossings_per_task {
-                break false;
+        let recheck = match &result.failed {
+            Some(f) => cells_to_recheck(&task.live_ins, f, &self.log, task_seq),
+            // No summary shipped (defensive: cannot happen for a
+            // boundary/halt end) — re-check everything.
+            None => task.live_ins.iter_masked().map(|(c, _)| c).collect(),
+        };
+        let stats = &mut self.protocol.stats;
+        stats.live_ins_rechecked += recheck.len() as u64;
+        stats.live_ins_skipped += (task.live_ins.len() as u64).saturating_sub(recheck.len() as u64);
+        if recheck.is_empty() {
+            stats.pre_verified_tasks += 1;
+        } else {
+            self.flush();
+            for &cell in &recheck {
+                let Some(m) = task.live_ins.get_masked(cell) else {
+                    continue; // a failed cell later overwritten? impossible, but harmless
+                };
+                if self.arch.read_cell(cell) & expand_mask(m.mask) != m.value {
+                    return VerifyOutcome::Squash(SquashReason::LiveInMismatch);
+                }
             }
         }
-    };
-    arch.apply(&writes);
-    arch.set_pc(pc);
-    Ok((executed, halted))
+        VerifyOutcome::Commit { end_pc, halted }
+    }
+
+    /// Commits a verified result: its writes join the commit log and the
+    /// folded view (applied to `arch` lazily), and the master hears of it.
+    fn commit(
+        &mut self,
+        result: WorkResult,
+        end_pc: u64,
+        halted: bool,
+        oracle: Option<&MachineState>,
+    ) -> Result<(), ThreadedError> {
+        let WorkResult { mut task, view, .. } = result;
+        self.protocol.commit(&task, end_pc, halted);
+        self.pending_cells += task.writes.len();
+        self.folded.superimpose_in_place(&task.writes);
+        self.log.push(std::mem::take(&mut task.writes));
+        self.arena.put(std::mem::take(&mut task.live_ins));
+        self.arena.put(view);
+        self.virt_pc = end_pc;
+        if let Some(shadow) = oracle {
+            self.flush();
+            assert_eq!(
+                &self.arch, shadow,
+                "threaded fast path committed state diverged from oracle"
+            );
+        }
+        let committed = CtrlMsg::Committed {
+            gen: self.epoch,
+            task_id: task.id.0,
+        };
+        if self.ctrl_tx.send(committed).is_err() {
+            return Err(ThreadedError::WorkerDied);
+        }
+        if self.log.seq() - self.base_seq >= MAX_PENDING_DELTAS
+            || self.pending_cells >= MAX_PENDING_CELLS
+        {
+            self.materialize_base();
+        } else {
+            self.protocol.stats.deltas_published += 1;
+        }
+        Ok(())
+    }
+
+    /// Abandons the current epoch — every in-flight task and finished
+    /// result — and republishes architected state as a fresh base. A
+    /// [`Reset::Recover`] first runs a recovery segment, after which the
+    /// master restarts unless the run halted or the throttle keeps it
+    /// offline; a [`Reset::Install`] restarts it on the new program.
+    fn reset(&mut self, why: Reset) -> Result<(), ThreadedError> {
+        self.epoch += 1;
+        // why: Relaxed; advisory abandon hint — stale results, spawns and
+        // stall reports are filtered by their message epoch tag regardless.
+        self.current_epoch.store(self.epoch, Ordering::Relaxed);
+        self.in_flight.clear();
+        while let Some((_, r)) = self.done.pop() {
+            self.discard(r);
+        }
+        self.master_stalled = false;
+        self.flush();
+        let swap = match why {
+            Reset::Recover => {
+                let mut seg = self.protocol.begin_recovery(self.arch.pc());
+                while !self
+                    .protocol
+                    .step_recovery(&mut seg, self.original, &self.arch)?
+                    .1
+                {}
+                if !self.protocol.finish_recovery(seg, &mut self.arch) {
+                    // Halted, or throttled: starvation recovery carries
+                    // execution until the master may restart.
+                    self.master_stalled = true;
+                }
+                None
+            }
+            Reset::Install(d) => Some(d),
+        };
+        self.virt_pc = self.arch.pc();
+        self.log.clear_window(&mut self.arena);
+        self.materialize_base();
+        if self.master_stalled {
+            return Ok(());
+        }
+        // After a recovery the epoch is already bumped and speculation
+        // already abandoned: a pending swap rides the restart for free.
+        let swap = match swap {
+            Some(d) => Some(d),
+            None => self.pump(0),
+        };
+        self.restart_master(swap)
+    }
+
+    fn restart_master(&mut self, swap: Option<Arc<Distilled>>) -> Result<(), ThreadedError> {
+        let restart = CtrlMsg::Restart {
+            gen: self.epoch,
+            pc: self.virt_pc,
+            base: Box::new(self.arch.clone()),
+            swap,
+        };
+        self.ctrl_tx
+            .send(restart)
+            .map_err(|_| ThreadedError::WorkerDied)
+    }
+
+    /// Pumps the adaptive loop at a task boundary with `abandoned` tasks
+    /// in flight: harvests a finished background recompile, serves a new
+    /// request, and returns a validated candidate to install.
+    fn pump(&mut self, abandoned: u64) -> Option<Arc<Distilled>> {
+        let Some(bg) = &mut self.background else {
+            return self.protocol.recompile_inline(abandoned);
+        };
+        if let Some(started) = bg.sent_at {
+            if let Ok((tier, result)) = bg.res_rx.try_recv() {
+                bg.sent_at = None;
+                let installed = self.protocol.install(tier, result, started, abandoned);
+                if installed.is_some() {
+                    return installed;
+                }
+            }
+        }
+        let (tier, profile) = self.protocol.recompile_request()?;
+        if bg.sent_at.is_none() {
+            if bg.req_tx.send((profile.clone(), tier)).is_ok() {
+                bg.sent_at = Some(Instant::now());
+            } else {
+                // Recompile thread is gone; re-arm so the run can keep
+                // going on the installed program.
+                let gone = Err("recompile thread is gone".to_string());
+                self.protocol.install(tier, gone, Instant::now(), abandoned);
+            }
+        }
+        None
+    }
+
+    /// Returns a discarded result's delta buffers to the arena; its slave
+    /// work was wasted.
+    fn discard(&mut self, r: WorkResult) {
+        let WorkResult { mut task, view, .. } = r;
+        self.protocol.stats.wasted_slave_instructions += task.executed;
+        self.arena.put(view);
+        self.arena.put(std::mem::take(&mut task.live_ins));
+        self.arena.put(std::mem::take(&mut task.writes));
+    }
+
+    /// Applies the unapplied commit-log suffix as one superimposition and
+    /// restores the logical PC. Safe to call redundantly.
+    fn flush(&mut self) {
+        if self.applied_seq < self.log.seq() {
+            self.arch.apply_batch(self.log.suffix(self.applied_seq));
+            self.applied_seq = self.log.seq();
+        }
+        self.arch.set_pc(self.virt_pc);
+    }
+
+    /// Publishes architected state as a fresh base snapshot for spawns.
+    fn materialize_base(&mut self) {
+        self.flush();
+        self.base = Arc::new(self.arch.clone());
+        self.base_seq = self.log.seq();
+        self.folded.clear();
+        self.pending_cells = 0;
+        self.protocol.stats.snapshots_materialized += 1;
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::Profile;
-use mssp_core::{Engine, EngineConfig, EngineError, UnitCost};
+use mssp_core::{run_threaded, Engine, EngineConfig, EngineError, UnitCost};
 use mssp_distill::{distill, DistillConfig, Distilled};
 use mssp_isa::asm::assemble;
 use mssp_isa::{Program, Reg};
@@ -216,10 +216,8 @@ fn word_granular_mode_is_correct_but_squashier() {
     );
 }
 
-#[test]
-fn throttling_reduces_wasted_work_under_a_bad_master() {
-    let p = assemble(SUM).unwrap();
-    // A liar master spawning wrong predictions at the loop boundary.
+/// A liar master spawning wrong predictions at the loop boundary.
+fn liar(p: &Program) -> Distilled {
     let liar = assemble(
         "main: addi s1, zero, 77
          spin: addi s1, s1, 77
@@ -230,17 +228,30 @@ fn throttling_reduces_wasted_work_under_a_bad_master() {
     let mut map = BTreeMap::new();
     map.insert(p.entry(), liar.entry());
     map.insert(loop_pc, liar.symbol("spin").unwrap());
-    let d = Distilled::from_parts(liar, BTreeSet::from([loop_pc]), map);
-    let plain = Engine::new(&p, &d, EngineConfig::default(), UnitCost)
-        .run()
-        .unwrap();
-    let throttled_cfg = EngineConfig {
+    Distilled::from_parts(liar, BTreeSet::from([loop_pc]), map)
+}
+
+/// Throttles after more than 2 squashes in 16 tasks, for 8 recovery
+/// segments.
+fn throttled_config() -> EngineConfig {
+    EngineConfig {
         throttle_threshold: 2,
         throttle_window: 16,
         throttle_duration: 8,
         ..EngineConfig::default()
-    };
-    let throttled = Engine::new(&p, &d, throttled_cfg, UnitCost).run().unwrap();
+    }
+}
+
+#[test]
+fn throttling_reduces_wasted_work_under_a_bad_master() {
+    let p = assemble(SUM).unwrap();
+    let d = liar(&p);
+    let plain = Engine::new(&p, &d, EngineConfig::default(), UnitCost)
+        .run()
+        .unwrap();
+    let throttled = Engine::new(&p, &d, throttled_config(), UnitCost)
+        .run()
+        .unwrap();
     assert_eq!(plain.state.reg(Reg::S1), seq_s1(&p));
     assert_eq!(throttled.state.reg(Reg::S1), seq_s1(&p));
     assert!(throttled.stats.throttle_events > 0);
@@ -250,4 +261,32 @@ fn throttling_reduces_wasted_work_under_a_bad_master() {
         throttled.stats.wasted_slave_instructions,
         plain.stats.wasted_slave_instructions
     );
+}
+
+#[test]
+fn threaded_executor_honours_the_throttle() {
+    let p = assemble(SUM).unwrap();
+    let d = liar(&p);
+    let mut seq = SeqMachine::boot(&p);
+    seq.run(u64::MAX).unwrap();
+    for workers in [1usize, 2] {
+        let cfg = EngineConfig {
+            num_slaves: workers,
+            ..throttled_config()
+        };
+        let run = run_threaded(&p, &d, cfg).unwrap();
+        assert!(
+            run.stats.throttle_events > 0,
+            "{workers} workers: {:?}",
+            run.stats
+        );
+        // With the master offline, starvation recovery carries execution:
+        // more recovery segments than squashes.
+        assert!(
+            run.stats.recovery_segments > run.stats.squash_events(),
+            "{workers} workers: {:?}",
+            run.stats
+        );
+        assert_eq!(run.state, *seq.state(), "{workers} workers");
+    }
 }

@@ -64,3 +64,38 @@ fn threaded_survives_garbage_master() {
     let run = run_threaded(&program, &d, EngineConfig::default()).unwrap();
     assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
 }
+
+#[test]
+fn both_drivers_fill_the_live_in_split_and_slave_counters() {
+    let w = Workload::by_name("mcf_like").unwrap();
+    let program = w.program(500);
+    let profile = Profile::collect(&program, u64::MAX).unwrap();
+    let d = distill(&program, &profile, &DistillConfig::default()).unwrap();
+    let cfg = EngineConfig {
+        num_slaves: 2,
+        ..EngineConfig::default()
+    };
+    let discrete = Engine::new(&program, &d, cfg, UnitCost)
+        .run()
+        .unwrap()
+        .stats;
+    let threaded = run_threaded(&program, &d, cfg).unwrap().stats;
+    for (driver, s) in [("discrete", discrete), ("threaded", threaded)] {
+        assert_eq!(
+            s.live_in_reg_cells + s.live_in_mem_cells,
+            s.live_in_cells,
+            "{driver}: {s:?}"
+        );
+        assert!(s.live_in_mem_cells > 0, "{driver}: {s:?}");
+        assert!(s.max_live_in_cells > 0, "{driver}: {s:?}");
+        // Every committed task's instructions ran on a slave first.
+        assert!(
+            s.slave_instructions >= s.committed_instructions - s.recovery_instructions,
+            "{driver}: {s:?}"
+        );
+        assert!(
+            s.wasted_slave_instructions <= s.slave_instructions,
+            "{driver}: {s:?}"
+        );
+    }
+}

@@ -39,9 +39,12 @@ impl Drop for Serial {
     }
 }
 
+/// Takes the lock *before* disarming: resetting first would let a test
+/// still waiting for the lock disarm the mutation of the test holding it.
 fn serial() -> Serial {
+    let guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     mutation::reset_all();
-    Serial(TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner))
+    Serial(guard)
 }
 
 fn cfg() -> Config {

@@ -44,7 +44,7 @@ use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
 use crate::predictor::PredictorReport;
 use crate::protocol::{Protocol, RecoverySegment};
-use crate::task::{Task, TaskEnd, TaskId, TaskStatus};
+use crate::task::{RegLayer, Task, TaskEnd, TaskId, TaskStatus};
 use crate::{CoreRole, CostModel};
 
 /// Engine configuration.
@@ -410,6 +410,8 @@ impl std::error::Error for EngineError {}
 struct SlaveCtx {
     busy_until: u64,
     task: Option<TaskId>,
+    /// The slave's register file: the register layer of its current task.
+    regs: RegLayer,
 }
 
 /// The MSSP machine.
@@ -535,6 +537,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
                 .map(|_| SlaveCtx {
                     busy_until: 0,
                     task: None,
+                    regs: RegLayer::default(),
                 })
                 .collect(),
             recovery: None,
@@ -744,30 +747,26 @@ impl<'a, C: CostModel> Engine<'a, C> {
         }
         let pc = task.pc;
         let word_granular = self.config.word_granular_live_ins;
+        let slave = &mut self.slaves[s];
         let result = {
-            let mut storage = task.storage_with_granularity(&self.arch, word_granular);
+            let mut storage =
+                task.storage_with_granularity(&mut slave.regs, &self.arch, word_granular);
             step(&mut storage, self.original, pc)
         };
         match result {
             Err(_) => {
                 // A fault on a speculative path is a task outcome, not an
                 // engine error.
-                task.status = TaskStatus::Done {
-                    end: TaskEnd::Fault,
-                    done_at: self.now + 1,
-                };
-                self.slaves[s].busy_until = self.now + 1;
+                task.finish(&mut slave.regs, TaskEnd::Fault, self.now + 1);
+                slave.busy_until = self.now + 1;
                 true
             }
             Ok(info) => {
                 let cost = self.cost.instr_cost(CoreRole::Slave(s), &info).max(1);
-                self.slaves[s].busy_until = self.now + cost;
+                slave.busy_until = self.now + cost;
                 self.protocol.stats.slave_busy_cycles += cost;
                 if info.halted {
-                    task.status = TaskStatus::Done {
-                        end: TaskEnd::Halted(pc),
-                        done_at: self.slaves[s].busy_until,
-                    };
+                    task.finish(&mut slave.regs, TaskEnd::Halted(pc), slave.busy_until);
                     return true;
                 }
                 task.executed += 1;
@@ -777,15 +776,10 @@ impl<'a, C: CostModel> Engine<'a, C> {
                     task.crossings += 1;
                 }
                 if task.crossings >= self.protocol.crossings_per_task {
-                    task.status = TaskStatus::Done {
-                        end: TaskEnd::Boundary(info.next_pc),
-                        done_at: self.slaves[s].busy_until,
-                    };
+                    let end = TaskEnd::Boundary(info.next_pc);
+                    task.finish(&mut slave.regs, end, slave.busy_until);
                 } else if task.executed >= self.config.max_task_instrs {
-                    task.status = TaskStatus::Done {
-                        end: TaskEnd::Overrun,
-                        done_at: self.slaves[s].busy_until,
-                    };
+                    task.finish(&mut slave.regs, TaskEnd::Overrun, slave.busy_until);
                 }
                 true
             }
@@ -810,6 +804,7 @@ impl<'a, C: CostModel> Engine<'a, C> {
             self.tasks.push_back(task);
             let dispatch = self.cost.dispatch_latency(cells);
             self.slaves[slave].task = Some(id);
+            self.slaves[slave].regs = RegLayer::default();
             self.slaves[slave].busy_until = self.now + dispatch;
             let spawn = self.cost.spawn_overhead(cells);
             self.master_busy_until = self.now + spawn;

@@ -14,7 +14,8 @@
 //!   * [`run_threaded`] — real OS-thread slaves behind lock-free rings,
 //!     with a pre-verified fast-path verdict.
 //! * [`Task`] / [`TaskStorage`] — speculative tasks with live-in recording
-//!   and live-out buffering.
+//!   and live-out buffering; registers go through the executing core's
+//!   dense [`RegLayer`].
 //! * [`Master`] — the fast path: distilled-program execution, checkpoint
 //!   segments, PC translation.
 //! * [`UnitCost`] — the functional cost model (timing-free runs).
@@ -71,6 +72,7 @@ pub use master::{Master, MasterStall};
 pub use predictor::{Predictor, PredictorReport};
 pub use refinement::{check_refinement, RefinementError};
 pub use task::{
-    BoundarySet, RecoveryStorage, SegmentRules, Task, TaskEnd, TaskId, TaskStatus, TaskStorage,
+    BoundarySet, RecoveryStorage, RegLayer, SegmentRules, Task, TaskEnd, TaskId, TaskStatus,
+    TaskStorage,
 };
 pub use threaded::{run_threaded, run_threaded_adaptive, ThreadedError, ThreadedRun};

@@ -10,14 +10,22 @@
 //! * `live_segments` — one predicted-write set per in-flight task, pruned
 //!   as tasks commit (committed values are visible in architected state).
 //!
-//! Reads resolve through the master's cumulative writes since restart,
-//! then a **snapshot of architected state taken at restart** — the
-//! master's private cache view. Reading *live* architected state instead
-//! would let the verify pipeline (which can run ahead of a cache-cold
-//! master) feed the master values from its own future, desynchronizing it
-//! by a segment on every such race; the snapshot makes the master's view
-//! time-consistent, and staleness is resolved the MSSP way (squash and
-//! reseed).
+//! The master reads and writes a **private copy of architected state
+//! taken at restart** — its cache view. Reading *live* architected state
+//! instead would let the verify pipeline (which can run ahead of a
+//! cache-cold master) feed the master values from its own future,
+//! desynchronizing it by a segment on every such race; the private copy
+//! makes the master's view time-consistent, and staleness is resolved
+//! the MSSP way (squash and reseed).
+//!
+//! The copy is copy-on-write ([`MachineState`] memory pages are
+//! reference-counted): a restart costs one refcount bump per resident
+//! page, and the master copies a page only when it first writes to it.
+//! A memory write also lands in `segment`. A register write only marks
+//! a dirty mask; at a spawn point the master binds the dirty registers'
+//! current values into `segment`, and only after that do live-in slices
+//! write their corrections there, so a correction wins over the master's
+//! own value.
 //!
 //! Indirect jumps land on *original*-space targets (the distiller
 //! preserves the original register/memory image), which the master
@@ -47,12 +55,14 @@ pub enum MasterStall {
 #[derive(Debug, Clone)]
 pub struct Master {
     dpc: u64,
-    /// Architected state as of this master's restart (its cache view).
-    base: MachineState,
-    /// All writes since restart (the master's own read view).
-    cum: Delta,
-    /// Writes since the last spawn (becomes the next overlay segment).
+    /// Architected state as of this master's restart, plus every write
+    /// since: the master's private copy-on-write view.
+    state: MachineState,
+    /// Writes since the last spawn (becomes the next overlay segment);
+    /// registers reach it from `dirty` at the spawn point.
     segment: Delta,
+    /// Registers written since the last spawn point, bit per index.
+    dirty: u32,
     live_segments: VecDeque<(u64, Arc<Delta>)>,
     status: MasterStall,
     instructions: u64,
@@ -75,7 +85,8 @@ pub struct Master {
 impl Master {
     /// Creates a master restarted at original-space PC `orig_pc`, seeded
     /// with `base` (a snapshot of architected state at a consistent
-    /// point) and spawning its first task there.
+    /// point) and spawning its first task there. `base` becomes the
+    /// master's private view: its writes land there directly.
     ///
     /// If `orig_pc` has no distilled image the master starts lost (the
     /// engine will fall back to sequential recovery segments).
@@ -92,9 +103,9 @@ impl Master {
         };
         Master {
             dpc,
-            base,
-            cum: Delta::new(),
+            state: base,
             segment: Delta::new(),
+            dirty: 0,
             live_segments: VecDeque::new(),
             status,
             instructions: 0,
@@ -173,7 +184,7 @@ impl Master {
     /// Prunes predicted segments for tasks up to and including `task_id`.
     /// This trims only the overlays handed to *future* tasks (committed
     /// results are visible to them in architected state); the master's own
-    /// read view (`cum` over the restart snapshot) is unaffected.
+    /// private view is unaffected.
     pub fn on_commit(&mut self, task_id: u64) {
         while matches!(self.live_segments.front(), Some((id, _)) if *id <= task_id) {
             self.live_segments.pop_front();
@@ -189,9 +200,9 @@ impl Master {
             return None;
         }
         let mut storage = MasterStorage {
-            cum: &mut self.cum,
+            state: &mut self.state,
             segment: &mut self.segment,
-            base: &self.base,
+            dirty: &mut self.dirty,
         };
         let info = match step(&mut storage, distilled.program(), self.dpc) {
             Ok(info) => info,
@@ -223,6 +234,7 @@ impl Master {
             self.crossings_since_restart += 1;
             if self.crossings >= self.crossings_per_task {
                 self.crossings = 0;
+                self.flush_dirty_regs();
                 if self.spawn_allowed(distilled, orig_pc) {
                     self.pending_spawn = Some(orig_pc);
                 } else {
@@ -238,16 +250,22 @@ impl Master {
         Some(info)
     }
 
-    /// The master's current value of `r` (cumulative writes over the
-    /// restart snapshot) — the view a spawned task's checkpoint ships.
-    fn view(&self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.cum
-                .get(Cell::Reg(r))
-                .unwrap_or_else(|| self.base.read_cell(Cell::Reg(r)))
+    /// Binds every register written since the last spawn point into the
+    /// segment, with its current value. Runs at the spawn point, before
+    /// live-in slices write their corrections into the same segment.
+    fn flush_dirty_regs(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        while dirty != 0 {
+            let r = Reg::new(dirty.trailing_zeros() as u8);
+            self.segment.set(Cell::Reg(r), self.state.reg(r));
+            dirty &= dirty - 1;
         }
+    }
+
+    /// The master's current value of `r` — the view a spawned task's
+    /// checkpoint ships.
+    fn view(&self, r: Reg) -> u64 {
+        self.state.reg(r)
     }
 
     /// Runs the pre-computation slices attached to boundary `orig_pc`.
@@ -310,9 +328,7 @@ impl Master {
                     inputs.push((r, v));
                 }
                 let eval = eval_slice(&slice.program, &inputs, budget, |widx| {
-                    self.cum
-                        .get(Cell::Mem(widx))
-                        .unwrap_or_else(|| self.base.read_cell(Cell::Mem(widx)))
+                    self.state.load_word(widx)
                 });
                 let Some(eval) = eval else { break };
                 match eval.taken {
@@ -332,9 +348,7 @@ impl Master {
             inputs.clear();
             inputs.extend(slice.inputs.iter().map(|&(r, _)| (r, self.view(r))));
             let eval = eval_slice(&slice.program, &inputs, budget, |widx| {
-                self.cum
-                    .get(Cell::Mem(widx))
-                    .unwrap_or_else(|| self.base.read_cell(Cell::Mem(widx)))
+                self.state.load_word(widx)
             });
             if let Some(eval) = eval {
                 self.segment.set(Cell::Reg(target), eval.reg(target));
@@ -344,54 +358,43 @@ impl Master {
     }
 }
 
-/// The master's storage: cumulative writes since restart over the restart
-/// snapshot. Writes also land in the current segment (the next task's
-/// overlay).
+/// The master's storage: its private copy-on-write view of architected
+/// state, read and written directly. A memory write also lands in the
+/// current segment (the next task's overlay); a register write marks the
+/// dirty mask, which [`Master::flush_dirty_regs`] binds into the segment
+/// at the spawn point.
 struct MasterStorage<'a> {
-    cum: &'a mut Delta,
+    state: &'a mut MachineState,
     segment: &'a mut Delta,
-    base: &'a MachineState,
-}
-
-impl MasterStorage<'_> {
-    fn read_cell(&self, cell: Cell) -> u64 {
-        self.cum
-            .get(cell)
-            .unwrap_or_else(|| self.base.read_cell(cell))
-    }
-
-    fn write_cell(&mut self, cell: Cell, value: u64) {
-        self.cum.set(cell, value);
-        self.segment.set(cell, value);
-    }
+    dirty: &'a mut u32,
 }
 
 impl Storage for MasterStorage<'_> {
     fn read_reg(&mut self, r: Reg) -> u64 {
-        if r.is_zero() {
-            0
-        } else {
-            self.read_cell(Cell::Reg(r))
-        }
+        self.state.reg(r)
     }
 
     fn write_reg(&mut self, r: Reg, value: u64) {
         if !r.is_zero() {
-            self.write_cell(Cell::Reg(r), value);
+            self.state.set_reg(r, value);
+            *self.dirty |= 1 << r.index();
         }
     }
 
     fn load_word(&mut self, widx: u64) -> u64 {
-        self.read_cell(Cell::Mem(widx))
+        self.state.load_word(widx)
     }
 
     fn store_word(&mut self, widx: u64, value: u64) {
-        self.write_cell(Cell::Mem(widx), value);
+        self.state.store_word(widx, value);
+        self.segment.set(Cell::Mem(widx), value);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use mssp_analysis::Profile;
     use mssp_distill::{distill, DistillConfig, DistillLevel};
@@ -500,6 +503,64 @@ mod tests {
             }
         }
         assert_eq!(m.status(), MasterStall::Halted);
+    }
+
+    /// [`LOOP`] with one boundary at `loop`, mapped to itself, plus
+    /// `slices` attached there.
+    fn looped(slices: Vec<mssp_distill::Slice>) -> (mssp_isa::Program, Distilled, u64) {
+        let p = assemble(LOOP).unwrap();
+        let lp = p.symbol("loop").unwrap();
+        let map = BTreeMap::from([(p.entry(), p.entry()), (lp, lp)]);
+        let d = Distilled::from_parts(p.clone(), BTreeSet::from([lp]), map)
+            .with_slices(BTreeMap::from([(lp, slices)]));
+        (p, d, lp)
+    }
+
+    /// Steps `m` to its next spawn point and takes the spawn.
+    fn next_spawn(m: &mut Master, d: &Distilled, prev: u64) -> Vec<Arc<Delta>> {
+        while m.pending_spawn().is_none() {
+            assert!(m.step(d).is_some());
+        }
+        m.take_spawn(Some(prev)).1
+    }
+
+    #[test]
+    fn live_in_slice_correction_wins_over_the_masters_write() {
+        let slice = mssp_distill::Slice {
+            kind: SliceKind::LiveIn { target: Reg::S1 },
+            program: assemble("main: li s1, 999\n halt").unwrap(),
+            inputs: Vec::new(),
+            window: 1,
+            home_pc: 0,
+        };
+        let (p, d, _) = looped(vec![slice]);
+        let mut m = Master::restart_at(&d, p.entry(), true, MachineState::boot(&p));
+        let _ = m.take_spawn(None);
+        // Task 1 covers main -> loop (s0 = 40). Task 2 covers one loop
+        // iteration: the master writes s1 = 1 in that window, and the
+        // slice at the closing boundary says 999.
+        let _ = next_spawn(&mut m, &d, 0);
+        let overlay = next_spawn(&mut m, &d, 1);
+        assert_eq!(overlay[0].get(Cell::Reg(Reg::S1)), Some(999));
+        assert_eq!(overlay[0].get(Cell::Reg(Reg::S0)), Some(39));
+        // The correction is for the task only: the master keeps its value.
+        assert_eq!(m.view(Reg::S1), 1);
+    }
+
+    #[test]
+    fn master_reads_its_writes_after_their_segments_are_pruned() {
+        let (p, d, _) = looped(Vec::new());
+        let mut m = Master::restart_at(&d, p.entry(), true, MachineState::boot(&p));
+        let _ = m.take_spawn(None);
+        let _ = next_spawn(&mut m, &d, 0); // task 1: s0 = 40
+        let _ = next_spawn(&mut m, &d, 1); // task 2: s1 = 1, s0 = 39
+        m.on_commit(1);
+        assert_eq!(m.live_segment_count(), 0);
+        // The next window reads s0 and s1 from the pruned segments' values.
+        let overlay = next_spawn(&mut m, &d, 2);
+        assert_eq!(overlay.len(), 1);
+        assert_eq!(overlay[0].get(Cell::Reg(Reg::S1)), Some(2));
+        assert_eq!(overlay[0].get(Cell::Reg(Reg::S0)), Some(38));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use mssp_machine::{step, Cell, Delta, MachineState, StepInfo};
 
 use crate::adaptive::{AdaptiveController, Recompiler};
 use crate::predictor::Predictor;
-use crate::task::{BoundarySet, RecoveryStorage, Task};
+use crate::task::{BoundarySet, RecoveryStorage, RegLayer, Task};
 use crate::{
     EngineConfig, EngineError, EngineStats, MismatchSample, MsspRun, SquashReason, SquashSample,
 };
@@ -47,6 +47,7 @@ use crate::{
 #[derive(Debug)]
 pub(crate) struct RecoverySegment {
     pc: u64,
+    regs: RegLayer,
     writes: Delta,
     executed: u64,
     crossings: u64,
@@ -95,7 +96,7 @@ impl std::fmt::Debug for Protocol {
 impl Protocol {
     pub(crate) fn new(distilled: &Distilled, config: EngineConfig) -> Protocol {
         Protocol {
-            boundaries: Arc::new(BoundarySet::new(distilled.boundaries().clone())),
+            boundaries: Arc::new(BoundarySet::new(distilled.boundaries().iter().copied())),
             crossings_per_task: distilled.crossings_per_task().max(1),
             config,
             stats: EngineStats::default(),
@@ -290,6 +291,7 @@ impl Protocol {
         self.stats.recovery_segments += 1;
         RecoverySegment {
             pc,
+            regs: RegLayer::default(),
             writes: Delta::new(),
             executed: 0,
             crossings: 0,
@@ -312,6 +314,7 @@ impl Protocol {
         arch: &MachineState,
     ) -> Result<(StepInfo, bool), EngineError> {
         let mut storage = RecoveryStorage {
+            regs: &mut seg.regs,
             writes: &mut seg.writes,
             arch,
         };
@@ -342,9 +345,10 @@ impl Protocol {
     /// offline (starvation recovery then carries execution).
     pub(crate) fn finish_recovery(
         &mut self,
-        seg: RecoverySegment,
+        mut seg: RecoverySegment,
         arch: &mut MachineState,
     ) -> bool {
+        seg.regs.fold_into(&mut seg.writes);
         arch.apply(&seg.writes);
         arch.set_pc(seg.pc);
         self.stats.recovery_instructions += seg.executed;

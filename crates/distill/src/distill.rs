@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use mssp_analysis::{Cfg, ConstProp, Dominators, Liveness, Profile, Terminator};
-use mssp_isa::{asm::li_sequence, Instr, Program, INSTR_BYTES};
+use mssp_isa::{asm::li_sequence, Instr, PcSet, Program, INSTR_BYTES};
 use mssp_machine::{Fault, MachineState, SeqMachine};
 
 use crate::ir::{layout, DBlock, DInstr};
@@ -119,6 +119,30 @@ pub struct DistillStats {
     pub slices_emitted: usize,
 }
 
+/// The master's spawn triggers: distilled PC → original boundary PC.
+///
+/// The master asks about every instruction it executes, and almost every
+/// answer is "no". The dense [`PcSet`] answers that in O(1); the map is
+/// consulted only on a hit, once per boundary crossing.
+#[derive(Debug, Clone)]
+struct BoundaryTriggers {
+    pcs: PcSet,
+    orig: BTreeMap<u64, u64>,
+}
+
+impl BoundaryTriggers {
+    fn new(boundaries: &BTreeSet<u64>, orig_to_dist: &BTreeMap<u64, u64>) -> BoundaryTriggers {
+        let orig: BTreeMap<u64, u64> = boundaries
+            .iter()
+            .filter_map(|&b| orig_to_dist.get(&b).map(|&d| (d, b)))
+            .collect();
+        BoundaryTriggers {
+            pcs: PcSet::new(orig.keys().copied()),
+            orig,
+        }
+    }
+}
+
 /// A distilled program plus the metadata the MSSP engine needs to drive it.
 #[derive(Debug, Clone)]
 pub struct Distilled {
@@ -126,7 +150,7 @@ pub struct Distilled {
     boundaries: BTreeSet<u64>,
     orig_to_dist: BTreeMap<u64, u64>,
     dist_to_orig: BTreeMap<u64, u64>,
-    boundary_dist: BTreeMap<u64, u64>,
+    boundary_dist: BoundaryTriggers,
     crossings_per_task: u64,
     stats: DistillStats,
     pass_trace: Vec<PassDelta>,
@@ -151,10 +175,7 @@ impl Distilled {
         orig_to_dist: BTreeMap<u64, u64>,
     ) -> Distilled {
         let dist_to_orig: BTreeMap<u64, u64> = orig_to_dist.iter().map(|(&o, &d)| (d, o)).collect();
-        let boundary_dist: BTreeMap<u64, u64> = boundaries
-            .iter()
-            .filter_map(|&b| orig_to_dist.get(&b).map(|&d| (d, b)))
-            .collect();
+        let boundary_dist = BoundaryTriggers::new(&boundaries, &orig_to_dist);
         let stats = DistillStats {
             original_static: 0,
             distilled_static: program.len(),
@@ -250,7 +271,10 @@ impl Distilled {
     /// boundary's original PC — the master's spawn trigger.
     #[must_use]
     pub fn boundary_at_dist(&self, dist_pc: u64) -> Option<u64> {
-        self.boundary_dist.get(&dist_pc).copied()
+        if !self.boundary_dist.pcs.contains(dist_pc) {
+            return None;
+        }
+        self.boundary_dist.orig.get(&dist_pc).copied()
     }
 
     /// Iterates over the full original → distilled block-start
@@ -659,10 +683,7 @@ fn distill_pinned(
         .expect("layout produced in-range targets");
 
     let dist_to_orig: BTreeMap<u64, u64> = orig_to_dist.iter().map(|(&o, &d)| (d, o)).collect();
-    let boundary_dist: BTreeMap<u64, u64> = boundaries
-        .iter()
-        .filter_map(|&b| orig_to_dist.get(&b).map(|&d| (d, b)))
-        .collect();
+    let boundary_dist = BoundaryTriggers::new(&boundaries, &orig_to_dist);
 
     // --- Pass 7: pre-computation slices (squash-feedback-gated). ---
     let crossings_per_task = match pin {

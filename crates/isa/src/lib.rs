@@ -35,12 +35,14 @@
 pub mod asm;
 mod encode;
 mod instr;
+mod pcset;
 mod program;
 mod reg;
 mod span;
 
 pub use encode::{decode, encode, DecodeError};
 pub use instr::{Instr, INSTR_BYTES};
+pub use pcset::PcSet;
 pub use program::{Program, ValidateError, DATA_BASE, HEAP_BASE, STACK_TOP, TEXT_BASE};
 pub use reg::{ParseRegError, Reg, NUM_REGS};
 pub use span::PcSpan;

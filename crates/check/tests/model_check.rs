@@ -135,8 +135,8 @@ fn mc_doorbell_no_lost_wakeup() {
 }
 
 /// MPSC with two racing producers: every item arrives exactly once and
-/// per-producer FIFO order holds (the coordinator relies on it to keep a
-/// master's spawns ordered before its stall report).
+/// per-producer FIFO order holds (the ring's contract, as with
+/// `std::sync::mpsc`).
 #[test]
 fn mc_mpsc_no_loss_no_dup() {
     let _g = serial();

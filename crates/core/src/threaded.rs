@@ -4,10 +4,23 @@
 //! discrete-time [`crate::Engine`] is the first. Every spawn, commit,
 //! squash, recovery, throttle and hot-swap decision — and every counter
 //! the two share — lives in that core. This module supplies the mechanism
-//! on real parallel hardware: the master interpreter and the slave tasks
-//! each run on their own OS thread, and the coordinator thread runs the
-//! in-order verify/commit unit — rings, epochs, the commit log, the
-//! pre-verified fast-path verdict and snapshot/delta publishing.
+//! on real parallel hardware: the slave tasks run on worker threads, and
+//! the calling thread runs both the master interpreter and the in-order
+//! verify/commit unit — rings, epochs, the commit log, the pre-verified
+//! fast-path verdict and snapshot/delta publishing.
+//!
+//! The master runs in slices between result drains: up to its next task
+//! boundary or [`MASTER_SLICE_STEPS`] distilled instructions. The spawn
+//! a boundary arms is taken at the start of the next slice, the same
+//! place that takes the spawn a restart arms, so one site serves both.
+//! A spawn goes straight to dispatch, a commit prunes the master's
+//! overlay segments directly, and a recovery or hot-swap rebuilds the
+//! master in place. In the paper spawn and commit are hardware hand-offs
+//! inside one CMP; a separate master thread would instead put an
+//! OS-level park/wake round trip on both, which costs more than the
+//! master's own work per task. The price: master and verify/commit work
+//! run one after the other on this thread, so with many workers their
+//! sum per task caps throughput.
 //!
 //! # Contention-free hot path
 //!
@@ -17,15 +30,11 @@
 //! performs no heap allocation**:
 //!
 //! * **Lock-free rings.** Each worker owns a bounded SPSC ring
-//!   ([`crate::ring::spsc`]) the coordinator dispatches into; results,
-//!   spawns, stalls, and thread obituaries flow back through one bounded
-//!   MPSC ring ([`crate::ring::mpsc`]), whose per-producer FIFO keeps a
-//!   master's spawns ordered before its stall report — the same
-//!   invariant the old single mutex channel provided. Commit
-//!   notifications and restarts ride an SPSC ring to the master.
-//!   Dispatch and draining are batched: one ring publish covers every
-//!   task bound for a worker in a drain cycle, and the coordinator pops
-//!   results in batches.
+//!   ([`crate::ring::spsc`]) the coordinator dispatches into; results
+//!   and thread obituaries flow back through one bounded MPSC ring
+//!   ([`crate::ring::mpsc`]). Dispatch and draining are batched: one
+//!   ring publish covers every task bound for a worker in a flush, and
+//!   the coordinator pops results in batches.
 //!
 //! * **Delta recycling.** Task live-in/write buffers, the shipped
 //!   committed view, and commit-log entries are plain [`Delta`]s cycled
@@ -98,6 +107,7 @@
 //! sequential machine.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -110,7 +120,7 @@ use mssp_machine::{expand_mask, Cell, Delta, DeltaArena, MachineState};
 use crate::adaptive::{AdaptiveController, AdaptiveReport, Recompiler};
 use crate::master::{Master, MasterStall};
 use crate::protocol::Protocol;
-use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender, TryRecvError};
+use crate::ring::{self, MpscReceiver, MpscSender, SpscReceiver, SpscSender};
 use crate::task::{BoundarySet, SegmentRules, Task, TaskEnd, TaskId};
 use crate::{verify_and_commit, VerifyOutcome};
 use crate::{EngineConfig, EngineError, EngineStats, SquashReason};
@@ -128,9 +138,9 @@ const MAX_PENDING_CELLS: usize = 1024;
 /// headroom absorbs stale items queued across a squash.
 const WORK_RING_CAP: usize = 64;
 
-/// Control ring (coordinator → master) capacity: one `Committed` per
-/// commit plus rare restarts; the master drains it every outer loop.
-const CTRL_RING_CAP: usize = 1024;
+/// Most distilled instructions the master runs between two result
+/// drains; a slice also ends at the master's next task boundary.
+const MASTER_SLICE_STEPS: u64 = 128;
 
 /// Result messages popped per coordinator drain cycle.
 const DRAIN_BATCH: usize = 64;
@@ -140,7 +150,8 @@ const DRAIN_BATCH: usize = 64;
 pub enum ThreadedError {
     /// The protocol itself failed — see [`EngineError`].
     Engine(EngineError),
-    /// A worker or master thread died (panicked) mid-run.
+    /// A worker thread or the background recompiler panicked, or the
+    /// master or the inline recompiler panicked on the coordinator thread.
     WorkerDied,
 }
 
@@ -207,42 +218,16 @@ struct WorkResult {
     view: Delta,
 }
 
-/// Everything the coordinator can hear: worker results, master spawns,
-/// master stalls, and thread obituaries — one MPSC ring whose
-/// per-producer FIFO keeps a master's spawns in spawn order relative to
-/// its stall report.
+/// Everything the coordinator can hear from the workers: results and
+/// thread obituaries, over one MPSC ring. Results travel inline in the
+/// ring slot; boxing them would cost an allocation per task.
+#[allow(clippy::large_enum_variant)]
 enum CoordMsg {
     Result(WorkResult),
-    Spawn {
-        gen: u64,
-        id: u64,
-        start_pc: u64,
-        overlay: Vec<Arc<Delta>>,
-    },
-    MasterStalled {
-        gen: u64,
-    },
     ThreadDied,
 }
 
-/// Coordinator → master control: restart after recovery, and commit
-/// notifications so the master can prune its live overlay segments.
-enum CtrlMsg {
-    Restart {
-        gen: u64,
-        pc: u64,
-        base: Box<MachineState>,
-        /// A hot-swapped distilled program to install before restarting;
-        /// `None` restarts on whatever the master currently runs.
-        swap: Option<Arc<Distilled>>,
-    },
-    Committed {
-        gen: u64,
-        task_id: u64,
-    },
-}
-
-/// Notifies the coordinator if the owning thread unwinds, so it returns
+/// Notifies the coordinator if a worker thread unwinds, so it returns
 /// [`ThreadedError::WorkerDied`] instead of blocking forever on a result
 /// that will never arrive. Normal exits send nothing.
 struct DeadManSwitch {
@@ -412,15 +397,15 @@ struct BackgroundRecompile {
     sent_at: Option<Instant>,
 }
 
-/// Runs the MSSP protocol with `config.num_slaves` worker threads plus a
-/// dedicated master thread; the calling thread becomes the verify/commit
+/// Runs the MSSP protocol with `config.num_slaves` worker threads; the
+/// calling thread runs both the master and the verify/commit
 /// coordinator.
 ///
 /// # Errors
 ///
 /// Returns [`ThreadedError::Engine`] if the original program faults
 /// during non-speculative recovery or a recovery segment exceeds its cap,
-/// and [`ThreadedError::WorkerDied`] if a worker or master thread
+/// and [`ThreadedError::WorkerDied`] if a worker thread or the master
 /// panics.
 ///
 /// # Panics
@@ -453,7 +438,7 @@ pub fn run_threaded(
 /// # Errors
 ///
 /// Same as [`run_threaded`]; a panicking recompiler also surfaces as
-/// [`ThreadedError::WorkerDied`].
+/// [`ThreadedError::WorkerDied`], in either mode.
 pub fn run_threaded_adaptive(
     original: &Program,
     distilled: &Distilled,
@@ -483,11 +468,10 @@ fn run_threaded_inner(
     let crossings_per_task = protocol.crossings_per_task;
     let current_epoch = Arc::new(AtomicU64::new(0));
 
-    // Result/coordination ring sized far above the speculation window so
-    // producers (workers, master) never meet a full ring in practice.
+    // Result ring sized far above the speculation window so workers
+    // never meet a full ring in practice.
     let coord_cap = (config.num_slaves * 8).max(1024);
     let (coord_tx, coord_rx) = ring::mpsc::<CoordMsg>(coord_cap);
-    let (ctrl_tx, mut ctrl_rx) = ring::spsc::<CtrlMsg>(CTRL_RING_CAP);
     let mut work_txs = Vec::with_capacity(config.num_slaves);
     let mut work_rxs = Vec::with_capacity(config.num_slaves);
     for _ in 0..config.num_slaves {
@@ -548,23 +532,9 @@ fn run_threaded_inner(
                 }
             })
         });
-
-        // ---- master ----
-        let master_handle = {
-            let coord_tx = coord_tx.clone();
-            let distilled = &*distilled;
-            let num_slaves = config.num_slaves;
-            let runahead = config.master_runahead;
-            scope.spawn(move || {
-                let _guard = DeadManSwitch {
-                    tx: coord_tx.clone(),
-                };
-                master_thread(distilled, num_slaves, runahead, &mut ctrl_rx, &coord_tx)
-            })
-        };
         drop(coord_tx); // coordinator keeps only the receiver
 
-        // ---- coordinator: the in-order verify/commit unit ----
+        // ---- coordinator: the master and the in-order verify/commit unit ----
         let arch = MachineState::boot(original);
         protocol.stats.snapshots_materialized += 1;
         let mut coordinator = Coordinator {
@@ -574,7 +544,18 @@ fn run_threaded_inner(
             outbox: work_txs.iter().map(|_| VecDeque::new()).collect(),
             work_txs,
             coord_rx,
-            ctrl_tx,
+            seat: MasterSeat {
+                offline: distilled,
+                swapped: None,
+                master: None,
+                window: config.num_slaves * 2,
+                runahead: config.master_runahead,
+                last_spawned: None,
+                next_id: 0,
+                steps_since_spawn: 0,
+                instructions: 0,
+                vetoes: 0,
+            },
             protocol,
             background,
             arena: DeltaArena::new(),
@@ -591,7 +572,6 @@ fn run_threaded_inner(
             done: Vec::new(),
             inbox: Vec::with_capacity(DRAIN_BATCH),
             next_worker: 0,
-            master_stalled: false,
         };
         let outcome = coordinator.run();
 
@@ -605,27 +585,14 @@ fn run_threaded_inner(
         current_epoch.store(u64::MAX, Ordering::Relaxed);
         let (state, protocol) = coordinator.finish();
         let mut thread_died = false;
-        for handle in workers {
-            if handle.join().is_err() {
-                thread_died = true;
-            }
-        }
-        let (master_instructions, spawn_vetoes) = master_handle.join().unwrap_or_else(|_| {
-            thread_died = true;
-            (0, 0)
-        });
-        if let Some(handle) = recompile_handle {
-            if handle.join().is_err() {
-                thread_died = true;
-            }
+        for handle in workers.into_iter().chain(recompile_handle) {
+            thread_died |= handle.join().is_err();
         }
         outcome?;
         if thread_died {
             return Err(ThreadedError::WorkerDied);
         }
-        let mut run = protocol.into_run(0, state);
-        run.stats.master_instructions = master_instructions;
-        run.stats.spawn_vetoes = spawn_vetoes;
+        let run = protocol.into_run(0, state);
         Ok(ThreadedRun {
             state: run.state,
             stats: run.stats,
@@ -698,138 +665,97 @@ fn worker_loop(
     }
 }
 
-/// Master thread body: runs the distilled program and streams spawn
-/// predictions to the coordinator. Returns `(instructions, vetoes)`:
-/// the total distilled instruction count and the spawn-guard veto count,
-/// both summed across all restarts.
-///
-/// The master self-gates on its own `live_segment_count` (pruned by
-/// [`CtrlMsg::Committed`]), which tracks uncommitted spawned tasks — the
-/// same `2 × slaves` speculation window the discrete engine uses. When it
-/// cannot run (stalled, or window full) it parks on the control ring.
-fn master_thread(
-    distilled: &Distilled,
-    num_slaves: usize,
-    master_runahead: u64,
-    ctrl_rx: &mut SpscReceiver<CtrlMsg>,
-    coord_tx: &MpscSender<CoordMsg>,
-) -> (u64, u64) {
-    let window = num_slaves * 2;
-    let mut total = 0u64;
-    // Guard vetoes are drained from the live master after every run
-    // slice, so restarts and early returns never lose them.
-    let mut vetoes = 0u64;
-    let mut cur: Option<(u64, Master)> = None;
-    // The latest hot-swapped program; `None` means the offline one.
-    let mut swapped: Option<Arc<Distilled>> = None;
-    let mut last_spawned: Option<u64> = None;
-    let mut next_id = 0u64;
-    let mut steps_since_spawn = 0u64;
-    let mut stall_reported = false;
-    loop {
-        // Drain control; park when there is nothing to run. The stall
-        // report must precede every blocking wait: a master that restarts
-        // straight into Lost (unmapped PC) would otherwise never tell the
-        // coordinator, and both sides would block forever.
-        loop {
-            let runnable = cur.as_ref().is_some_and(|(_, m)| {
-                m.status() == MasterStall::Active
-                    && (m.pending_spawn().is_none() || m.live_segment_count() < window)
-            });
-            if !stall_reported {
-                if let Some((gen, m)) = cur.as_ref() {
-                    if m.status() != MasterStall::Active {
-                        if coord_tx
-                            .send(CoordMsg::MasterStalled { gen: *gen })
-                            .is_err()
-                        {
-                            return (total, vetoes);
-                        }
-                        stall_reported = true;
-                    }
-                }
-            }
-            let msg = if runnable {
-                match ctrl_rx.try_recv() {
-                    Ok(m) => m,
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return (total, vetoes),
-                }
-            } else {
-                match ctrl_rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => return (total, vetoes),
-                }
-            };
-            match msg {
-                CtrlMsg::Restart {
-                    gen,
-                    pc,
-                    base,
-                    swap,
-                } => {
-                    if let Some(d) = swap {
-                        swapped = Some(d);
-                    }
-                    let cur_d = swapped.as_deref().unwrap_or(distilled);
-                    cur = Some((gen, Master::restart_at(cur_d, pc, true, *base)));
-                    last_spawned = None;
-                    steps_since_spawn = 0;
-                    stall_reported = false;
-                }
-                CtrlMsg::Committed { gen, task_id } => {
-                    if let Some((g, m)) = cur.as_mut() {
-                        if *g == gen {
-                            m.on_commit(task_id);
-                        }
-                    }
-                }
-            }
-        }
+/// The master's seat on the coordinator thread: the live master, the
+/// program it runs, and the spawn bookkeeping that outlives restarts.
+struct MasterSeat<'a> {
+    offline: &'a Distilled,
+    /// The latest hot-swapped program; `None` means the offline one.
+    swapped: Option<Arc<Distilled>>,
+    /// `None` while the throttle keeps the master offline.
+    master: Option<Master>,
+    /// Uncommitted spawned tasks the master may run ahead by: the same
+    /// `2 × slaves` speculation window the discrete engine uses.
+    window: usize,
+    runahead: u64,
+    last_spawned: Option<u64>,
+    next_id: u64,
+    steps_since_spawn: u64,
+    /// Distilled instructions executed, summed across restarts.
+    instructions: u64,
+    /// Spawn-guard vetoes, drained from the master after every slice.
+    vetoes: u64,
+}
 
-        // Run a slice, then loop back to drain control again.
-        let Some((gen, master)) = cur.as_mut() else {
-            continue;
+/// What one master slice produced.
+enum Slice {
+    /// Nothing: the master is offline, stalled, or its window is full.
+    Idle,
+    /// Distilled instructions ran, but no spawn was taken.
+    Ran,
+    /// A spawn to dispatch: task id, start PC and prediction overlay.
+    Spawn(u64, u64, Vec<Arc<Delta>>),
+}
+
+impl MasterSeat<'_> {
+    /// Rebuilds the master at original-space `pc` over a private copy of
+    /// architected state, first installing `swap` if one is given.
+    fn restart(&mut self, pc: u64, base: MachineState, swap: Option<Arc<Distilled>>) {
+        if swap.is_some() {
+            self.swapped = swap;
+        }
+        let program = self.swapped.as_deref().unwrap_or(self.offline);
+        self.master = Some(Master::restart_at(program, pc, true, base));
+        self.last_spawned = None;
+        self.steps_since_spawn = 0;
+    }
+
+    fn active(&self) -> bool {
+        self.master
+            .as_ref()
+            .is_some_and(|m| m.status() == MasterStall::Active)
+    }
+
+    /// Takes the master's pending spawn if the window has room; otherwise
+    /// runs it up to its next task boundary or [`MASTER_SLICE_STEPS`]
+    /// instructions. The spawn a boundary arms is taken by the next
+    /// slice, so this one site takes both boundary spawns and the spawn
+    /// a restart arms. A master that runs
+    /// [`EngineConfig::master_runahead`] instructions without a spawn is
+    /// marked lost.
+    fn slice(&mut self) -> Slice {
+        let Some(master) = &mut self.master else {
+            return Slice::Idle;
         };
-        for _ in 0..128 {
-            if master.status() != MasterStall::Active {
-                break;
+        if master.pending_spawn().is_some() {
+            if master.live_segment_count() >= self.window {
+                return Slice::Idle;
+            }
+            let (start_pc, overlay) = master.take_spawn(self.last_spawned);
+            let id = self.next_id;
+            self.next_id += 1;
+            self.last_spawned = Some(id);
+            self.steps_since_spawn = 0;
+            return Slice::Spawn(id, start_pc, overlay);
+        }
+        let program = self.swapped.as_deref().unwrap_or(self.offline);
+        let mut ran = 0;
+        while ran < MASTER_SLICE_STEPS && master.step(program).is_some() {
+            ran += 1;
+            self.steps_since_spawn += 1;
+            if self.steps_since_spawn > self.runahead {
+                master.mark_lost();
             }
             if master.pending_spawn().is_some() {
-                if master.live_segment_count() >= window {
-                    break; // enough speculation outstanding
-                }
-                let (start_pc, overlay) = master.take_spawn(last_spawned);
-                let id = next_id;
-                next_id += 1;
-                last_spawned = Some(id);
-                steps_since_spawn = 0;
-                let spawn = CoordMsg::Spawn {
-                    gen: *gen,
-                    id,
-                    start_pc,
-                    overlay,
-                };
-                if coord_tx.send(spawn).is_err() {
-                    vetoes += master.take_vetoed_spawns();
-                    return (total, vetoes);
-                }
-                continue;
-            }
-            if master
-                .step(swapped.as_deref().unwrap_or(distilled))
-                .is_some()
-            {
-                total += 1;
-                steps_since_spawn += 1;
-                if steps_since_spawn > master_runahead {
-                    master.mark_lost();
-                }
-            } else {
                 break;
             }
         }
-        vetoes += master.take_vetoed_spawns();
+        self.instructions += ran;
+        self.vetoes += master.take_vetoed_spawns();
+        if ran == 0 {
+            Slice::Idle
+        } else {
+            Slice::Ran
+        }
     }
 }
 
@@ -841,18 +767,19 @@ enum Reset {
     Install(Arc<Distilled>),
 }
 
-/// The verify/commit coordinator: owns architected state, dispatches
-/// spawns to workers, and commits results in order doing O(write-set)
-/// work per task with no steady-state allocation. Every protocol decision
-/// and shared counter lives in `protocol`; this struct is the mechanism —
-/// rings, epochs, the commit log and the fast-path verdict.
+/// The coordinator: runs the master in slices, dispatches its spawns to
+/// workers, owns architected state, and commits results in order doing
+/// O(write-set) work per task with no steady-state allocation. Every
+/// protocol decision and shared counter lives in `protocol`; this struct
+/// is the mechanism — rings, epochs, the commit log and the fast-path
+/// verdict.
 struct Coordinator<'a> {
     original: &'a Program,
     cross_check: bool,
     current_epoch: &'a AtomicU64,
     work_txs: Vec<SpscSender<WorkItem>>,
     coord_rx: MpscReceiver<CoordMsg>,
-    ctrl_tx: SpscSender<CtrlMsg>,
+    seat: MasterSeat<'a>,
     protocol: Protocol,
     background: Option<BackgroundRecompile>,
     arena: DeltaArena,
@@ -879,18 +806,24 @@ struct Coordinator<'a> {
     inbox: Vec<CoordMsg>,
     outbox: Vec<VecDeque<WorkItem>>,
     next_worker: usize,
-    master_stalled: bool,
 }
 
 impl Coordinator<'_> {
     fn run(&mut self) -> Result<(), ThreadedError> {
-        self.restart_master(None)?;
+        self.seat.restart(self.virt_pc, self.arch.clone(), None);
         while !self.protocol.halted() {
-            self.receive()?;
+            let progressed = self.master_slice()?;
+            // Batched dispatch: one ring publish per worker. Short sends
+            // (full ring) keep the unsent tasks queued for the next flush
+            // instead of blocking here or dropping them; a full ring means
+            // that worker already holds a ring-capacity backlog, so its
+            // next result is guaranteed to wake a blocked receive.
+            flush_outboxes(&mut self.outbox, &mut self.work_txs)?;
+            self.receive(progressed)?;
             self.commit_ready()?;
-            // Master starved (lost/halted with nothing in flight):
-            // sequential recovery, then reseed the master.
-            if !self.protocol.halted() && self.in_flight.is_empty() && self.master_stalled {
+            // Starved (nothing in flight, and the master lost, halted or
+            // offline): sequential recovery, then reseed the master.
+            if !self.protocol.halted() && self.in_flight.is_empty() && !self.seat.active() {
                 self.reset(Reset::Recover)?;
             }
             // Compact the commit log: keep entries any in-flight task's
@@ -911,72 +844,62 @@ impl Coordinator<'_> {
     /// Consuming the coordinator closes every ring it holds.
     fn finish(mut self) -> (MachineState, Protocol) {
         self.flush();
+        self.protocol.stats.master_instructions = self.seat.instructions;
+        self.protocol.stats.spawn_vetoes = self.seat.vetoes;
         (self.arch, self.protocol)
     }
 
-    /// Receives spawns, results, and master status in batches. Blocks
-    /// only when there is nothing to commit and no starvation to handle —
-    /// in both remaining cases a message is guaranteed to arrive (an
-    /// in-flight result, a spawn, a stall report, or a thread obituary).
-    fn receive(&mut self) -> Result<(), ThreadedError> {
+    /// Runs one master slice and dispatches its spawn, if any. Returns
+    /// whether the master made progress. A panic in master code ends the
+    /// run as [`ThreadedError::WorkerDied`], like a dead worker.
+    fn master_slice(&mut self) -> Result<bool, ThreadedError> {
+        let seat = &mut self.seat;
+        let slice = panic::catch_unwind(AssertUnwindSafe(|| seat.slice()))
+            .map_err(|_| ThreadedError::WorkerDied)?;
+        Ok(match slice {
+            Slice::Idle => false,
+            Slice::Ran => true,
+            Slice::Spawn(id, start_pc, overlay) => {
+                self.dispatch(id, start_pc, overlay);
+                true
+            }
+        })
+    }
+
+    /// Receives one batch of worker results. Blocks for the first only
+    /// when the master made no progress and the oldest in-flight task has
+    /// no result yet: then nothing can move until that result (or a
+    /// thread obituary) arrives, and it is guaranteed to. A starved run
+    /// has nothing in flight, so it never blocks here.
+    fn receive(&mut self, master_progressed: bool) -> Result<(), ThreadedError> {
         let mut inbox = std::mem::take(&mut self.inbox);
-        let mut received = false;
-        loop {
-            let oldest_ready = self
-                .in_flight
-                .front()
-                .is_some_and(|&(id, _)| self.done.iter().any(|&(d, _)| d == id));
-            let starved = self.in_flight.is_empty() && self.master_stalled;
-            inbox.clear();
-            if oldest_ready || starved || received {
-                if self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH) == 0 {
-                    break;
-                }
-            } else {
-                inbox.push(
-                    self.coord_rx
-                        .recv()
-                        .map_err(|_| ThreadedError::WorkerDied)?,
-                );
-                self.coord_rx.recv_batch(&mut inbox, DRAIN_BATCH - 1);
-            }
-            received = true;
-            for msg in inbox.drain(..) {
-                match msg {
-                    CoordMsg::Result(r) => {
-                        // Results still in flight at shutdown are never
-                        // received, so they are not counted.
-                        self.protocol.stats.slave_instructions += r.task.executed;
-                        if r.epoch == self.epoch {
-                            self.done.push((r.task.id.0, r));
-                        } else {
-                            self.discard(r);
-                        }
+        let waiting = self
+            .in_flight
+            .front()
+            .is_some_and(|&(id, _)| !self.done.iter().any(|&(d, _)| d == id));
+        if waiting && !master_progressed {
+            inbox.push(
+                self.coord_rx
+                    .recv()
+                    .map_err(|_| ThreadedError::WorkerDied)?,
+            );
+        }
+        let room = DRAIN_BATCH - inbox.len();
+        self.coord_rx.recv_batch(&mut inbox, room);
+        for msg in inbox.drain(..) {
+            match msg {
+                CoordMsg::Result(r) => {
+                    // Results still in flight at shutdown are never
+                    // received, so they are not counted.
+                    self.protocol.stats.slave_instructions += r.task.executed;
+                    if r.epoch == self.epoch {
+                        self.done.push((r.task.id.0, r));
+                    } else {
+                        self.discard(r);
                     }
-                    // A spawn from an older epoch is a pre-squash
-                    // prediction; already dead.
-                    CoordMsg::Spawn {
-                        gen,
-                        id,
-                        start_pc,
-                        overlay,
-                    } if gen == self.epoch => self.dispatch(id, start_pc, overlay),
-                    CoordMsg::Spawn { .. } => {}
-                    CoordMsg::MasterStalled { gen } => {
-                        if gen == self.epoch {
-                            self.master_stalled = true;
-                        }
-                    }
-                    CoordMsg::ThreadDied => return Err(ThreadedError::WorkerDied),
                 }
+                CoordMsg::ThreadDied => return Err(ThreadedError::WorkerDied),
             }
-            // Batched dispatch: one ring publish per worker per drain.
-            // Short sends (full ring) keep the unsent tasks queued for the
-            // next drain instead of blocking here or dropping them; a full
-            // ring means that worker already holds a ring-capacity backlog,
-            // so its next result is guaranteed to wake this loop for the
-            // retry.
-            flush_outboxes(&mut self.outbox, &mut self.work_txs)?;
         }
         self.inbox = inbox;
         Ok(())
@@ -1033,12 +956,12 @@ impl Coordinator<'_> {
 
             match verdict {
                 VerifyOutcome::Commit { end_pc, halted } => {
-                    self.commit(result, end_pc, halted, oracle.as_ref())?;
+                    self.commit(result, end_pc, halted, oracle.as_ref());
                     if halted {
                         break;
                     }
                     let abandoned = self.in_flight.len() as u64;
-                    if let Some(d) = self.pump(abandoned) {
+                    if let Some(d) = self.pump(abandoned)? {
                         // Install at this commit boundary: abandon
                         // in-flight speculation exactly like a squash —
                         // but with no recovery segment, because
@@ -1101,14 +1024,15 @@ impl Coordinator<'_> {
     }
 
     /// Commits a verified result: its writes join the commit log and the
-    /// folded view (applied to `arch` lazily), and the master hears of it.
+    /// folded view (applied to `arch` lazily), and the master prunes its
+    /// overlay segments up to it.
     fn commit(
         &mut self,
         result: WorkResult,
         end_pc: u64,
         halted: bool,
         oracle: Option<&MachineState>,
-    ) -> Result<(), ThreadedError> {
+    ) {
         let WorkResult { mut task, view, .. } = result;
         self.protocol.commit(&task, end_pc, halted);
         self.pending_cells += task.writes.len();
@@ -1124,12 +1048,8 @@ impl Coordinator<'_> {
                 "threaded fast path committed state diverged from oracle"
             );
         }
-        let committed = CtrlMsg::Committed {
-            gen: self.epoch,
-            task_id: task.id.0,
-        };
-        if self.ctrl_tx.send(committed).is_err() {
-            return Err(ThreadedError::WorkerDied);
+        if let Some(master) = &mut self.seat.master {
+            master.on_commit(task.id.0);
         }
         if self.log.seq() - self.base_seq >= MAX_PENDING_DELTAS
             || self.pending_cells >= MAX_PENDING_CELLS
@@ -1138,7 +1058,6 @@ impl Coordinator<'_> {
         } else {
             self.protocol.stats.deltas_published += 1;
         }
-        Ok(())
     }
 
     /// Abandons the current epoch — every in-flight task and finished
@@ -1146,18 +1065,19 @@ impl Coordinator<'_> {
     /// [`Reset::Recover`] first runs a recovery segment, after which the
     /// master restarts unless the run halted or the throttle keeps it
     /// offline; a [`Reset::Install`] restarts it on the new program.
+    /// Either way the old master is dropped: it ran ahead on the
+    /// abandoned speculation.
     fn reset(&mut self, why: Reset) -> Result<(), ThreadedError> {
         self.epoch += 1;
-        // why: Relaxed; advisory abandon hint — stale results, spawns and
-        // stall reports are filtered by their message epoch tag regardless.
+        // why: Relaxed; advisory abandon hint — stale results are filtered
+        // by their message epoch tag regardless.
         self.current_epoch.store(self.epoch, Ordering::Relaxed);
         self.in_flight.clear();
         while let Some((_, r)) = self.done.pop() {
             self.discard(r);
         }
-        self.master_stalled = false;
         self.flush();
-        let swap = match why {
+        let (restart, swap) = match why {
             Reset::Recover => {
                 let mut seg = self.protocol.begin_recovery(self.arch.pc());
                 while !self
@@ -1165,59 +1085,52 @@ impl Coordinator<'_> {
                     .step_recovery(&mut seg, self.original, &self.arch)?
                     .1
                 {}
-                if !self.protocol.finish_recovery(seg, &mut self.arch) {
-                    // Halted, or throttled: starvation recovery carries
-                    // execution until the master may restart.
-                    self.master_stalled = true;
-                }
-                None
+                // False when halted, or throttled: starvation recovery
+                // carries execution until the master may restart.
+                (self.protocol.finish_recovery(seg, &mut self.arch), None)
             }
-            Reset::Install(d) => Some(d),
+            Reset::Install(d) => (true, Some(d)),
         };
         self.virt_pc = self.arch.pc();
         self.log.clear_window(&mut self.arena);
         self.materialize_base();
-        if self.master_stalled {
+        if !restart {
+            self.seat.master = None;
             return Ok(());
         }
         // After a recovery the epoch is already bumped and speculation
         // already abandoned: a pending swap rides the restart for free.
         let swap = match swap {
             Some(d) => Some(d),
-            None => self.pump(0),
+            None => self.pump(0)?,
         };
-        self.restart_master(swap)
-    }
-
-    fn restart_master(&mut self, swap: Option<Arc<Distilled>>) -> Result<(), ThreadedError> {
-        let restart = CtrlMsg::Restart {
-            gen: self.epoch,
-            pc: self.virt_pc,
-            base: Box::new(self.arch.clone()),
-            swap,
-        };
-        self.ctrl_tx
-            .send(restart)
-            .map_err(|_| ThreadedError::WorkerDied)
+        self.seat.restart(self.virt_pc, self.arch.clone(), swap);
+        Ok(())
     }
 
     /// Pumps the adaptive loop at a task boundary with `abandoned` tasks
     /// in flight: harvests a finished background recompile, serves a new
-    /// request, and returns a validated candidate to install.
-    fn pump(&mut self, abandoned: u64) -> Option<Arc<Distilled>> {
+    /// request, and returns a validated candidate to install. A panic in
+    /// an inline recompiler ends the run as [`ThreadedError::WorkerDied`],
+    /// as a panic on the background recompile thread does.
+    fn pump(&mut self, abandoned: u64) -> Result<Option<Arc<Distilled>>, ThreadedError> {
         let Some(bg) = &mut self.background else {
-            return self.protocol.recompile_inline(abandoned);
+            let protocol = &mut self.protocol;
+            return panic::catch_unwind(AssertUnwindSafe(|| protocol.recompile_inline(abandoned)))
+                .map_err(|_| ThreadedError::WorkerDied);
         };
         if let Some(started) = bg.sent_at {
             if let Ok((tier, result)) = bg.res_rx.try_recv() {
                 bg.sent_at = None;
                 let installed = self.protocol.install(tier, result, started, abandoned);
                 if installed.is_some() {
-                    return installed;
+                    return Ok(installed);
                 }
             }
         }
-        let (tier, profile) = self.protocol.recompile_request()?;
+        let Some((tier, profile)) = self.protocol.recompile_request() else {
+            return Ok(None);
+        };
         if bg.sent_at.is_none() {
             if bg.req_tx.send((profile.clone(), tier)).is_ok() {
                 bg.sent_at = Some(Instant::now());
@@ -1228,7 +1141,7 @@ impl Coordinator<'_> {
                 self.protocol.install(tier, gone, Instant::now(), abandoned);
             }
         }
-        None
+        Ok(None)
     }
 
     /// Returns a discarded result's delta buffers to the arena; its slave
@@ -1585,6 +1498,34 @@ mod tests {
         seq.run(u64::MAX).unwrap();
         assert_eq!(run.state.reg(Reg::S1), seq.state().reg(Reg::S1));
         assert!(run.adaptive.is_some());
+    }
+
+    /// A panicking recompiler ends the run with `WorkerDied` in both
+    /// modes: on the background thread (async) and inline on the
+    /// coordinator thread (synchronous), with every worker joined.
+    #[test]
+    fn panicking_recompiler_surfaces_as_worker_died_in_both_modes() {
+        let (p, d) = fixture();
+        let profile = Profile::collect(&p, u64::MAX).unwrap();
+        for synchronous in [true, false] {
+            let config = AdaptiveConfig {
+                force_swap_at: vec![(5, Tier::Fast)],
+                ..AdaptiveConfig::default()
+            };
+            let ctl = AdaptiveController::new(config, &d, &profile);
+            let rec: Recompiler =
+                Box::new(|_, _| -> Result<Distilled, String> { panic!("recompiler exploded") });
+            let cfg = EngineConfig {
+                num_slaves: 2,
+                ..EngineConfig::default()
+            };
+            let err = run_threaded_adaptive(&p, &d, cfg, ctl, rec, synchronous).unwrap_err();
+            assert_eq!(
+                err,
+                ThreadedError::WorkerDied,
+                "synchronous = {synchronous}"
+            );
+        }
     }
 
     #[test]

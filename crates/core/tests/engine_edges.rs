@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mssp_analysis::Profile;
-use mssp_core::{run_threaded, Engine, EngineConfig, EngineError, UnitCost};
+use mssp_core::{run_threaded, Engine, EngineConfig, EngineError, EngineStats, UnitCost};
 use mssp_distill::{distill, DistillConfig, Distilled};
 use mssp_isa::asm::assemble;
 use mssp_isa::{Program, Reg};
@@ -41,14 +41,18 @@ fn tiny_task_cap_forces_overruns_but_stays_correct() {
     assert_eq!(run.state.reg(Reg::S1), seq_s1(&p));
 }
 
-#[test]
-fn master_runahead_cap_marks_master_lost_but_stays_correct() {
-    let p = assemble(SUM).unwrap();
-    // A master that spins without ever crossing a boundary.
+/// A master that spins without ever crossing a boundary.
+fn spinning_master(p: &Program) -> Distilled {
     let spin = assemble("main: j main").unwrap();
     let mut map = BTreeMap::new();
     map.insert(p.entry(), spin.entry());
-    let d = Distilled::from_parts(spin, BTreeSet::from([p.entry() + 4]), map);
+    Distilled::from_parts(spin, BTreeSet::from([p.entry() + 4]), map)
+}
+
+#[test]
+fn master_runahead_cap_marks_master_lost_but_stays_correct() {
+    let p = assemble(SUM).unwrap();
+    let d = spinning_master(&p);
     let cfg = EngineConfig {
         master_runahead: 100,
         ..EngineConfig::default()
@@ -58,6 +62,50 @@ fn master_runahead_cap_marks_master_lost_but_stays_correct() {
     // Work flowed through starvation recovery (spin master spawned one
     // task at entry; everything after came from recovery segments).
     assert!(run.stats.recovery_instructions > 0);
+}
+
+/// Runs `d` under the threaded executor at 1 and 4 workers: the result
+/// is sequential and recovery segments carried work.
+fn threaded_starvation_recovers(
+    p: &Program,
+    d: &Distilled,
+    master_runahead: u64,
+) -> [EngineStats; 2] {
+    [1, 4].map(|workers| {
+        let cfg = EngineConfig {
+            num_slaves: workers,
+            master_runahead,
+            ..EngineConfig::default()
+        };
+        let run = run_threaded(p, d, cfg).unwrap();
+        assert_eq!(run.state.reg(Reg::S1), seq_s1(p), "{workers} workers");
+        assert!(run.stats.recovery_instructions > 0, "{workers} workers");
+        run.stats
+    })
+}
+
+#[test]
+fn threaded_runahead_cap_marks_spinning_master_lost() {
+    let p = assemble(SUM).unwrap();
+    threaded_starvation_recovers(&p, &spinning_master(&p), 100);
+}
+
+/// A master whose PC map lacks the entry PC restarts straight into
+/// `Lost` without running an instruction. The threaded run must neither
+/// block waiting on it nor lose work: recovery reaches the loop head,
+/// where the (otherwise faithful) master takes over.
+#[test]
+fn threaded_master_restarting_into_lost_does_not_hang() {
+    let p = assemble(SUM).unwrap();
+    let copy = assemble(SUM).unwrap();
+    let map: BTreeMap<u64, u64> = (1..p.len() as u64)
+        .map(|i| (p.entry() + 4 * i, copy.entry() + 4 * i))
+        .collect();
+    let d = Distilled::from_parts(copy, BTreeSet::from([p.entry() + 4]), map);
+    let runahead = EngineConfig::default().master_runahead;
+    for s in threaded_starvation_recovers(&p, &d, runahead) {
+        assert!(s.committed_tasks > 0, "{s:?}");
+    }
 }
 
 #[test]
